@@ -26,6 +26,7 @@ from .harmonic import (
 )
 from .holder import (
     TABLE_CSV_HEADER,
+    DerivativeClass,
     TableCapExceeded,
     classify_form,
     generate_table,
@@ -35,12 +36,12 @@ from .holder import (
     table_csv,
 )
 from .tangent import (
+    KernelVerdict,
     Side,
     SideError,
     direction_at,
     direction_at_rational,
     direction_vector,
-    kernel_test,
 )
 
 # Frozen reference rows for `table 7 --check`: one row per necklace class of
@@ -158,9 +159,11 @@ def _parse_form(text: str) -> LinearForm:
 def cmd_classify(args) -> int:
     s = parse_parameter(args.s)
     form = _parse_form(args.form)
-    side = Side.RIGHT if s < 1 else Side.LEFT
-    verdict = kernel_test(form, direction_at_rational(s, side))
     cls = classify_form(form, s)
+    # classify_form reports the kernel test's verdict through these two classes
+    verdict = {DerivativeClass.EXCEPTIONAL: KernelVerdict.IN_KERNEL,
+               DerivativeClass.UNDETERMINED: KernelVerdict.UNDETERMINED,
+               }.get(cls, KernelVerdict.NOT_IN_KERNEL)
     if args.format == "json":
         _emit(json.dumps({"s": str(s), "form": [str(c) for c in form.row],
                           "class": cls.value, "kernel": verdict.value}))

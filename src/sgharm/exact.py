@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from typing import Iterator, Optional, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -146,8 +147,9 @@ class ScaledIntMat3:
         return ScaledIntMat3(rows, self.pow5 + other.pow5)
 
     def apply_int(self, col: tuple[int, int, int]) -> tuple[int, int, int]:
-        e = self.entries
-        return tuple(e[i][0] * col[0] + e[i][1] * col[1] + e[i][2] * col[2] for i in range(3))
+        (a, b, c), (d, f, g), (h, i, j) = self.entries
+        x, y, z = col
+        return (a * x + b * y + c * z, d * x + f * y + g * z, h * x + i * y + j * z)
 
     def apply(self, v: Vec3Q) -> Vec3Q:
         den = self.denominator
@@ -194,6 +196,17 @@ def plane_trace(m: ScaledIntMat3) -> Fraction:
     return Fraction(e[0][0] + e[1][1] + e[2][2] - den, den)
 
 
+Mat2i = tuple[tuple[int, int], tuple[int, int]]
+
+
+def _mul2(a: Mat2i, b: Mat2i) -> Mat2i:
+    """Product of two 2x2 integer matrices given as row pairs."""
+    return (
+        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
+        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
+    )
+
+
 class PlaneBasis(Enum):
     EDGE = "edge"    # (e0 - e1, e1 - ew); keeps integer entries over 5**n
     CHART = "chart"  # the orthogonal chart pair; entries over 2**n * 5**n
@@ -233,12 +246,8 @@ class ScaledIntMat2:
     def __matmul__(self, other: "ScaledIntMat2") -> "ScaledIntMat2":
         if self.basis is not other.basis:
             raise ValueError("cannot multiply restrictions in different bases")
-        a, b = self.entries, other.entries
-        rows = (
-            (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-        )
-        return ScaledIntMat2(rows, self.pow5 + other.pow5, self.pow2 + other.pow2, self.basis)
+        return ScaledIntMat2(_mul2(self.entries, other.entries), self.pow5 + other.pow5,
+                             self.pow2 + other.pow2, self.basis)
 
     def fractions(self) -> tuple[tuple[Fraction, ...], ...]:
         den = self.denominator
@@ -264,21 +273,17 @@ def restrict_to_plane(m: ScaledIntMat3, basis: PlaneBasis = PlaneBasis.EDGE) -> 
     return ScaledIntMat2(rows, m.pow5, 1, PlaneBasis.CHART)
 
 
-_EDGE_GEN = {"0": ((3, 0), (1, 1)), "1": ((2, -1), (-1, 2))}
-_CHART_GEN = {"0": ((3, 1), (3, 5)), "1": ((3, -1), (-3, 5))}
+# The two half-side generators on the plane: entries over 5 (edge), 10 (chart).
+_EDGE_GEN = {c: restrict_to_plane(_GEN3[c], PlaneBasis.EDGE).entries for c in "01"}
+_CHART_GEN = {c: restrict_to_plane(_GEN3[c], PlaneBasis.CHART).entries for c in "01"}
 
 
-def _fold2(word: str, gens) -> tuple[tuple[int, int], tuple[int, int]]:
-    m = ((1, 0), (0, 1))
-    for ch in word:
-        if ch not in gens:
-            raise ValueError(f"word letter must be 0 or 1, got {ch!r}")
-        g = gens[ch]
-        m = (
-            (m[0][0] * g[0][0] + m[0][1] * g[1][0], m[0][0] * g[0][1] + m[0][1] * g[1][1]),
-            (m[1][0] * g[0][0] + m[1][1] * g[1][0], m[1][0] * g[0][1] + m[1][1] * g[1][1]),
-        )
-    return m
+def _fold2(word: str, gens) -> Mat2i:
+    """Left-to-right integer product of the 2x2 generators named by a 0/1 word."""
+    try:
+        return reduce(_mul2, map(gens.__getitem__, word), ((1, 0), (0, 1)))
+    except KeyError as exc:
+        raise ValueError(f"word letter must be 0 or 1, got {exc.args[0]!r}") from None
 
 
 def edge_word_matrix(word: str) -> ScaledIntMat2:
@@ -407,11 +412,10 @@ class ExpansionVariant(Enum):
 
 
 def _is_primitive(word: str) -> bool:
+    # u**k (k > 1) is a p-th power for each prime p | k; the word is the p-th
+    # power of its prefix u exactly when u occurs p times without overlap.
     n = len(word)
-    for d in range(1, n):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return False
-    return True
+    return all(word.count(word[:n // p]) != p for p in _factorize(n))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .exact import (
     RationalLike,
     Vec3Q,
     expand_auto,
+    _GEN3,
     _norm_symbol,
 )
 
@@ -31,14 +32,6 @@ CENTROID = Vec3Q.of(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 
 DEFAULT_GRID_CAP = 10
 GRID_CAP_ENV = "HARMONIC_GRID_CAP"
-
-# integer rows of the three generators (value = rows/5)
-_GEN_INT = {
-    "0": ((5, 2, 2), (0, 2, 1), (0, 1, 2)),
-    "1": ((2, 0, 1), (2, 5, 2), (1, 0, 2)),
-    "w": ((2, 1, 0), (1, 2, 0), (2, 2, 5)),
-}
-
 
 class GridCapExceeded(RuntimeError):
     """Requested grid level is above the configured cap."""
@@ -100,15 +93,9 @@ class ApproxPoint:
 
 
 def _apply_word_int(word: str, start: tuple[int, int, int]) -> tuple[int, int, int]:
-    x, y, z = start
     for ch in reversed(word):
-        m = _GEN_INT[ch]
-        x, y, z = (
-            m[0][0] * x + m[0][1] * y + m[0][2] * z,
-            m[1][0] * x + m[1][1] * y + m[1][2] * z,
-            m[2][0] * x + m[2][1] * y + m[2][2] * z,
-        )
-    return x, y, z
+        start = _GEN3[ch].apply_int(start)
+    return start
 
 
 def curve_point_dyadic(k: int, n: int) -> Vec3Q:

@@ -14,6 +14,7 @@ import statistics
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from mpmath import iv, mp
@@ -22,13 +23,15 @@ from .exact import (
     Expansion,
     QuadraticValue,
     RationalLike,
-    ScaledIntMat2,
     edge_word_matrix,
     expand_auto,
     expansion_value,
     max_cyclic_run,
     necklace_classes,
     transition_density,
+    _EDGE_GEN,
+    _fold2,
+    _mul2,
 )
 from .harmonic import LinearForm
 from .tangent import KernelVerdict, Side, direction_at_rational, kernel_test
@@ -137,25 +140,35 @@ def alpha_enclosure(T: Fraction, disc: Fraction, n: int,
             raise ArithmeticError("exponent enclosure did not converge")
 
 
-def _period_data(period: str) -> tuple[ScaledIntMat2, Fraction, Fraction, int]:
-    m = edge_word_matrix(period)
-    T = m.trace()
-    D = m.det()
+def _period_sign(period: str) -> tuple[int, int]:
+    """Scaled trace t and the exact sign of lam - 2**-n, in integers only.
+
+    The period's edge restriction has determinant (3/25)**n, so its dominant
+    eigenvalue is lam = (t + sqrt(t*t - 4*3**n)) / (2*5**n), and lam < 2**-n
+    exactly when 2**n * sqrt(t*t - 4*3**n) < r = 2*5**n - t*2**n.
+    """
+    (a, b), (c, d) = edge_word_matrix(period).entries
     n = len(period)
-    if D != Fraction(3, 25) ** n:
+    if a * d - b * c != 3 ** n:
         raise AssertionError("restriction determinant is off")
-    disc = T * T - 4 * D
-    return m, T, disc, n
+    t = a + d
+    disc = t * t - 4 * 3 ** n
+    r = 2 * 5 ** n - (t << n)
+    if r <= 0:  # 2**n * sqrt(disc) >= 0 >= r, with equality only for the empty word
+        return t, int(r < 0 or disc > 0)
+    diff = (disc << 2 * n) - r * r
+    return t, (diff > 0) - (diff < 0)
 
 
-def _exact_class(period: str) -> DerivativeClass:
-    """Exact comparison of the dominant eigenvalue with (1/2)**n."""
-    _, T, disc, n = _period_data(period)
-    lam = QuadraticValue(T, disc)
-    cmp = lam.compare(Fraction(1, 1 << n))
-    if cmp == 0:
+def _derivative_class(sign: int) -> DerivativeClass:
+    if sign == 0:
         raise AssertionError("exponent 1 is impossible at rational parameters")
-    return DerivativeClass.ZERO if cmp < 0 else DerivativeClass.INFINITE
+    return DerivativeClass.ZERO if sign < 0 else DerivativeClass.INFINITE
+
+
+def _eigen_data(t: int, n: int) -> tuple[Fraction, Fraction]:
+    """Trace and discriminant of the period's restriction as fractions."""
+    return Fraction(t, 5 ** n), Fraction(t * t - 4 * 3 ** n, 25 ** n)
 
 
 def holder_exponent(s: RationalLike, width: float = 1e-12) -> HolderReport:
@@ -168,17 +181,15 @@ def holder_exponent(s: RationalLike, width: float = 1e-12) -> HolderReport:
     if not 0 <= frac <= 1:
         raise ValueError(f"{frac} is outside [0,1]")
     e = expand_auto(frac)
-    m, T, disc, n = _period_data(e.period)
-    scaled = m.entries[0][0] + m.entries[1][1]
-    lam = QuadraticValue(T, disc)
+    n = len(e.period)
+    t, sign = _period_sign(e.period)
+    T, disc = _eigen_data(t, n)
     lo, hi = alpha_enclosure(T, disc, n, width=width, exclude_one=True)
-    cls = DerivativeClass.ZERO if lam.compare(Fraction(1, 1 << n)) < 0 \
-        else DerivativeClass.INFINITE
     return HolderReport(
         s=frac, expansion=e, period=e.period, period_length=n,
-        scaled_trace=scaled, top_eigenvalue=lam,
+        scaled_trace=t, top_eigenvalue=QuadraticValue(T, disc),
         alpha=0.5 * (lo + hi), alpha_lo=lo, alpha_hi=hi,
-        derivative_class=cls,
+        derivative_class=_derivative_class(sign),
     )
 
 
@@ -199,16 +210,6 @@ def _ln_norm(entries, norm: str) -> float:
     raise ValueError(f"unknown norm {norm!r}")
 
 
-_EDGE_GEN_INT = {"0": ((3, 0), (1, 1)), "1": ((2, -1), (-1, 2))}
-
-
-def _mul2(a, b):
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
 def _estimate(entries, n: int, norm: str) -> float:
     return (n * LN5 - _ln_norm(entries, norm)) / (n * LN2)
 
@@ -223,14 +224,10 @@ def exponent_estimate(bits: str, norm: str = "fro",
     if not bits or set(bits) - {"0", "1"}:
         raise ValueError("bits must be a nonempty 0/1 word")
     wanted = set(ns) if ns is not None else None
-    m = ((1, 0), (0, 1))
-    points = []
-    for i, ch in enumerate(bits):
-        m = _mul2(m, _EDGE_GEN_INT[ch])
-        n = i + 1
-        if wanted is None or n in wanted:
-            points.append((n, _estimate(m, n, norm)))
-    return EstimateTrace(tuple(points), norm)
+    prefixes = accumulate(map(_EDGE_GEN.__getitem__, bits), _mul2)
+    points = tuple((n, _estimate(m, n, norm)) for n, m in enumerate(prefixes, 1)
+                   if wanted is None or n in wanted)
+    return EstimateTrace(points, norm)
 
 
 def _mat_power(m, k: int):
@@ -256,16 +253,13 @@ def estimate_at_bits(preperiod: str, period: str, nbits: int,
     if set(preperiod + period) - {"0", "1"} or not period:
         raise ValueError("words must be over {0,1} with a nonempty period")
     head = preperiod[:nbits]
-    m = ((1, 0), (0, 1))
-    for ch in head:
-        m = _mul2(m, _EDGE_GEN_INT[ch])
+    m = _fold2(head, _EDGE_GEN)
     rest = nbits - len(head)
     if rest:
         per = edge_word_matrix(period).entries
         q, r = divmod(rest, len(period))
         m = _mul2(m, _mat_power(per, q))
-        for ch in period[:r]:
-            m = _mul2(m, _EDGE_GEN_INT[ch])
+        m = _mul2(m, _fold2(period[:r], _EDGE_GEN))
     return _estimate(m, nbits, norm)
 
 
@@ -278,7 +272,7 @@ def classify_curve(s: RationalLike) -> DerivativeClass:
     frac = Fraction(s)
     if not 0 <= frac <= 1:
         raise ValueError(f"{frac} is outside [0,1]")
-    return _exact_class(expand_auto(frac).period)
+    return _derivative_class(_period_sign(expand_auto(frac).period)[1])
 
 
 def classify_form(form: LinearForm, s: RationalLike) -> DerivativeClass:
@@ -327,8 +321,7 @@ def exponent_excludes_one(period: str) -> bool:
     Compares the dominant eigenvalue with (1/2)**n in the quadratic field;
     equality would force a non-integer scaled trace, so this always holds.
     """
-    _, T, disc, n = _period_data(period)
-    return QuadraticValue(T, disc).compare(Fraction(1, 1 << n)) != 0
+    return _period_sign(period)[1] != 0
 
 
 def generate_table(max_len: int, dedupe_complement: bool = True,
@@ -361,17 +354,19 @@ def maxrun_experiment(max_len: int) -> list[tuple[str, float, bool]]:
 
     Returns (period, exponent, exponent > 1) rows; the comparison with 1 is
     exact.  Supports the observation that such parameters appear to have
-    vanishing derivative; nothing here is a proof.
+    vanishing derivative; nothing here is a proof.  Lengths above
+    TABLE_LENGTH_CAP raise TableCapExceeded.
     """
+    if max_len > TABLE_LENGTH_CAP:
+        raise TableCapExceeded(f"max_len {max_len} exceeds cap {TABLE_LENGTH_CAP}")
     rows = []
     for length in range(1, max_len + 1):
         for word in necklace_classes(length, dedupe_complement=True):
             if max_cyclic_run(word) > 2:
                 continue
-            _, T, disc, n = _period_data(word)
-            lo, hi = alpha_enclosure(T, disc, n)
-            gt_one = QuadraticValue(T, disc).compare(Fraction(1, 1 << n)) < 0
-            rows.append((word, 0.5 * (lo + hi), gt_one))
+            t, sign = _period_sign(word)
+            lo, hi = alpha_enclosure(*_eigen_data(t, length), length)
+            rows.append((word, 0.5 * (lo + hi), _derivative_class(sign) is DerivativeClass.ZERO))
     return rows
 
 
@@ -387,10 +382,7 @@ def lyapunov_sample(nbits: int, trials: int, seed: int) -> dict:
     estimates = []
     for _ in range(trials):
         bits = format(rng.getrandbits(nbits), f"0{nbits}b")
-        m = ((1, 0), (0, 1))
-        for ch in bits:
-            m = _mul2(m, _EDGE_GEN_INT[ch])
-        estimates.append(_estimate(m, nbits, "fro"))
+        estimates.append(_estimate(_fold2(bits, _EDGE_GEN), nbits, "fro"))
     above = sum(e > 1.0 for e in estimates)
     return {
         "nbits": nbits,

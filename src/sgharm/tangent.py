@@ -20,11 +20,14 @@ from .exact import (
     DIFFERENCE_CONE,
     Expansion,
     ExpansionVariant,
+    Mat2i,
     QuadraticValue,
     RationalLike,
     Vec3Q,
     expand,
     quad_sign,
+    _CHART_GEN,
+    _fold2,
 )
 from .harmonic import LinearForm
 
@@ -36,12 +39,6 @@ CONTRACTION_FACTOR = Fraction(3, 4)
 # Orientation of the chart along the side, frozen after sampling: the chart
 # decreases from 1/3 at parameter 0 to -1/3 at parameter 1.
 CHART_DECREASES = True
-
-# Chart-basis generator matrices scaled by 10; only the projective action is
-# used, so the scale is irrelevant.
-_PROJ_GEN = {"0": ((3, 1), (3, 5)), "1": ((3, -1), (-3, 5))}
-
-Mat2i = tuple[tuple[int, int], tuple[int, int]]
 
 
 class ConeError(ValueError):
@@ -94,17 +91,11 @@ def chart_of(v: Vec3Q) -> Fraction:
 
 
 def projective_word_matrix(word: str) -> Mat2i:
-    """Integer chart-basis matrix (up to scale) of a binary word product."""
-    m = ((1, 0), (0, 1))
-    for ch in word:
-        if ch not in _PROJ_GEN:
-            raise ValueError(f"word letter must be 0 or 1, got {ch!r}")
-        g = _PROJ_GEN[ch]
-        m = (
-            (m[0][0] * g[0][0] + m[0][1] * g[1][0], m[0][0] * g[0][1] + m[0][1] * g[1][1]),
-            (m[1][0] * g[0][0] + m[1][1] * g[1][0], m[1][0] * g[0][1] + m[1][1] * g[1][1]),
-        )
-    return m
+    """Integer chart-basis matrix (up to scale) of a binary word product.
+
+    Only the projective action is used, so the scale 10**len(word) is dropped.
+    """
+    return _fold2(word, _CHART_GEN)
 
 
 def _moebius(m: Mat2i, x: Fraction) -> Fraction:
@@ -246,9 +237,7 @@ def kernel_test(form: LinearForm, direction: Union[QuadDir, ProjDir]) -> KernelV
 
 def direction_vector(direction) -> tuple[float, float, float]:
     """Unit vector (2-norm) in the plane x+y+z=0 for a direction chart."""
-    if isinstance(direction, QuadDir):
-        x = float(direction.chart)
-    elif isinstance(direction, ProjDir):
+    if isinstance(direction, (QuadDir, ProjDir)):
         x = float(direction.chart)
     elif isinstance(direction, QuadraticValue):
         x = float(direction)

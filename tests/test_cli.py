@@ -77,11 +77,34 @@ def test_classify(capsys):
     data = json.loads(out)
     assert code == 0 and data["class"] == "exceptional"
     code, out, _ = run(capsys, "classify", "1/3", "phi")
-    assert code == 0 and "class=zero" in out
+    assert code == 0 and "class=zero" in out and "kernel=not_in_kernel" in out
     code, out, _ = run(capsys, "classify", "1/2", "psi")
     assert code == 0 and "class=infinite" in out
     code, out, _ = run(capsys, "classify", "1/2", "0,1,-1")
     assert code == 0
+
+
+def test_classify_computes_direction_and_kernel_once(capsys, monkeypatch):
+    import sgharm.cli
+    import sgharm.holder
+    import sgharm.tangent
+
+    calls = {"direction_at_rational": 0, "kernel_test": 0}
+    for name in calls:
+        original = getattr(sgharm.tangent, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in (sgharm.tangent, sgharm.holder, sgharm.cli):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    code, out, _ = run(capsys, "classify", "1/3", "psi", "--format", "json")
+    assert code == 0
+    assert out == ('{"s": "1/3", "form": ["0", "1", "1"], "class": "zero", '
+                   '"kernel": "not_in_kernel"}\n')
+    assert calls == {"direction_at_rational": 1, "kernel_test": 1}
 
 
 def test_classify_unknown_preset(capsys):
@@ -206,6 +229,17 @@ def test_experiment_maxrun(capsys):
     assert data["rows"][0]["period"] == "01"
     assert abs(data["rows"][0]["alpha"] - 1.119) <= 1e-3
     assert data["all_above_one"]
+
+
+def test_experiment_maxrun_cap(capsys, monkeypatch):
+    import sgharm.holder
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("maxrun did work above the cap")
+
+    monkeypatch.setattr(sgharm.holder, "necklace_classes", no_work)
+    code, out, err = run(capsys, "experiment", "maxrun", "--max-len", "21")
+    assert code == 3 and out == "" and "exceeds cap 20" in err
 
 
 def test_experiment_lyapunov_reproducible(capsys):

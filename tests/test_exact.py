@@ -303,6 +303,16 @@ def test_expansion_validation():
         Expansion("10", "10")  # sharing last bit with period: mergeable
     with pytest.raises(ValueError):
         Expansion("", "02")
+    for n in range(1, 17):
+        for i in range(1 << n):
+            word = format(i, f"0{n}b")
+            primitive = all(word != word[:d] * (n // d) for d in range(1, n) if n % d == 0)
+            try:
+                Expansion("", word)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == primitive, word
 
 
 def test_expansion_serialization_round_trip():

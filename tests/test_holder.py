@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 from sgharm.cli import REFERENCE_ROWS
-from sgharm.exact import Expansion, expand, expand_auto
+from sgharm.exact import (
+    Expansion,
+    QuadraticValue,
+    edge_word_matrix,
+    expand,
+    expand_auto,
+    lyndon_words,
+)
 from sgharm.harmonic import FORM_PRESETS
 from sgharm.holder import (
     DerivativeClass,
@@ -23,6 +30,8 @@ from sgharm.holder import (
     lyapunov_sample,
     maxrun_experiment,
     table_csv,
+    _eigen_data,
+    _period_sign,
 )
 
 
@@ -164,6 +173,22 @@ def test_integrality_examples():
     assert exponent_excludes_one("01")
     assert exponent_excludes_one("0000101")
     assert exponent_excludes_one("0")
+
+
+def test_integer_exponent_test_matches_quadratic_field():
+    rng = random.Random(20240517)
+    words = [w for n in range(1, 15) for w in lyndon_words(n)]
+    words += ["".join(rng.choice("01") for _ in range(rng.randrange(200, 3001)))
+              for _ in range(20)]
+    for word in words:
+        # reference: the dominant eigenvalue against 2**-n in the quadratic field
+        m = edge_word_matrix(word)
+        T, disc = m.trace(), m.trace() ** 2 - 4 * m.det()
+        ref = QuadraticValue(T, disc).compare(Fraction(1, 1 << len(word)))
+        t, sign = _period_sign(word)
+        assert ref != 0 and sign == ref, word
+        assert _eigen_data(t, len(word)) == (T, disc)
+        assert exponent_excludes_one(word)
 
 
 # ---------------------------------------------------------------------------
