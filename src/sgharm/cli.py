@@ -8,6 +8,7 @@ parsed, 3 domain or capacity violations, 4 output I/O failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -73,6 +74,10 @@ REFERENCE_ROWS = (
 )
 
 
+# `render curve` writes 2**level + 1 points; its time grows about 1.8x per level
+CURVE_LEVEL_CAP = 16
+
+
 class CliInputError(ValueError):
     """Unparseable command-line value (exit code 2)."""
 
@@ -104,6 +109,20 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+@contextlib.contextmanager
+def _long_integers():
+    """Lift the interpreter's 4300-digit limit on int-to-decimal conversion
+    while an exact answer is formatted: scaled traces, chart values and
+    dyadic values exceed it at long periods and fine levels.  Parameters are
+    parsed before, under the limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -113,11 +132,12 @@ def cmd_eval(args) -> int:
     digits = args.precision
     if s.denominator & (s.denominator - 1) == 0:
         v = curve_point_dyadic(s.numerator, s.denominator.bit_length() - 1)
-        if args.format == "json":
-            _emit(json.dumps({"s": str(s), "exact": True,
-                              "value": [str(c) for c in v.coords]}))
-        else:
-            _emit(" ".join(str(c) for c in v.coords))
+        with _long_integers():
+            if args.format == "json":
+                _emit(json.dumps({"s": str(s), "exact": True,
+                                  "value": [str(c) for c in v.coords]}))
+            else:
+                _emit(" ".join(str(c) for c in v.coords))
         return 0
     e = expand_auto(s)
     v = truncated_curve_value(e, args.terms)
@@ -135,17 +155,18 @@ def cmd_eval(args) -> int:
 def cmd_exponent(args) -> int:
     s = parse_parameter(args.s)
     report = holder_exponent(s)
-    if args.format == "json":
-        _emit(json.dumps(report.to_dict()))
-    elif args.format == "csv":
-        _emit(",".join(TABLE_CSV_HEADER))
-        _emit(",".join(report.csv_row()))
-    else:
-        d = args.precision
-        _emit(f"s={report.s} period={report.period} n={report.period_length} "
-              f"scaled_trace={report.scaled_trace} "
-              f"alpha={_fmt(report.alpha, d)} "
-              f"class={report.derivative_class.value}")
+    with _long_integers():
+        if args.format == "json":
+            _emit(json.dumps(report.to_dict()))
+        elif args.format == "csv":
+            _emit(",".join(TABLE_CSV_HEADER))
+            _emit(",".join(report.csv_row()))
+        else:
+            d = args.precision
+            _emit(f"s={report.s} period={report.period} n={report.period_length} "
+                  f"scaled_trace={report.scaled_trace} "
+                  f"alpha={_fmt(report.alpha, d)} "
+                  f"class={report.derivative_class.value}")
     return 0
 
 
@@ -219,11 +240,13 @@ def cmd_direction(args) -> int:
     out: dict = {"s": str(s), "side": side.value}
     if args.exact:
         qd = direction_at_rational(s, side)
+        with _long_integers():
+            chart_t, chart_d = str(qd.chart.t), str(qd.chart.d)
         out.update({
             "exact": True,
             "chart": float(qd.chart),
-            "chart_t": str(qd.chart.t),
-            "chart_d": str(qd.chart.d),
+            "chart_t": chart_t,
+            "chart_d": chart_d,
             "chart_plus_root": qd.chart.plus_root,
             "period": qd.period,
             "preperiod": qd.preperiod,
@@ -260,8 +283,12 @@ def cmd_render(args) -> int:
     if width <= 0 or height <= 0:
         raise CliDomainError("canvas must be positive")
     margin = 0.05 * min(width, height)
+    if args.level is not None and args.level < 0:
+        raise CliDomainError(f"level must be nonnegative, got {args.level}")
     if args.target == "curve":
         level = args.level if args.level is not None else 10
+        if level > CURVE_LEVEL_CAP:
+            raise CliDomainError(f"curve level {level} exceeds the cap {CURVE_LEVEL_CAP}")
         pts = []
         for k in range((1 << level) + 1):
             p = _project(curve_point_dyadic(k, level), width, height, margin)

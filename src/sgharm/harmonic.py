@@ -166,9 +166,40 @@ CORNER_ZERO: GridKey = (Fraction(0), Fraction(0))
 CORNER_ONE: GridKey = (Fraction(1), Fraction(0))
 CORNER_OMEGA: GridKey = (Fraction(0), Fraction(1))
 
+# Scaled by size = 2**n, a level-n vertex (a, b) is the lattice point
+# (i, j) = size * (a, b) with i + j <= size, kept at the flat index
+# i * (size + 1) + j; flat indices order vertices as their keys do.  The
+# level-n cells are the up-triangles (i, j), (i + 1, j), (i, j + 1) with
+# i & j == 0.
 
-def _mid(p: GridKey, q: GridKey) -> GridKey:
-    return ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+
+def _lattice_fractions(size: int) -> list[Fraction]:
+    return [Fraction(k, size) for k in range(size + 1)]
+
+
+def _position(key: GridKey, size: int) -> int:
+    """Flat index of a vertex key; ValueError when it is off the lattice."""
+    a, b = key
+    i, ra = divmod(a.numerator * size, a.denominator)
+    j, rb = divmod(b.numerator * size, b.denominator)
+    if ra or rb or i < 0 or j < 0 or i + j > size:
+        raise ValueError(f"vertex {key} is off the lattice of side 1/{size}")
+    return i * (size + 1) + j
+
+
+def _neighbours(p: int, size: int) -> list[int]:
+    """Flat indices of the other corners of the cells that hold the lattice
+    point p."""
+    m = size + 1
+    i, j = divmod(p, m)
+    out = []
+    if i + j < size and not i & j:
+        out += (p + m, p + 1)
+    if i and not (i - 1) & j:
+        out += (p - m, p - m + 1)
+    if j and not i & (j - 1):
+        out += (p - 1, p + m - 1)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,48 +218,60 @@ class HarmonicGrid:
         return (CORNER_ZERO, CORNER_ONE, CORNER_OMEGA)
 
     def neighbor_map(self) -> dict:
-        nbrs: dict = {k: set() for k in self.values}
-        for a, b, c in self.triangles:
-            nbrs[a].update((b, c))
-            nbrs[b].update((a, c))
-            nbrs[c].update((a, b))
-        return nbrs
+        size = 1 << self.level
+        m = size + 1
+        fr = _lattice_fractions(size)
+        return {k: {(fr[q // m], fr[q % m]) for q in _neighbours(_position(k, size), size)}
+                for k in self.values}
 
     def side_values(self) -> list[tuple[Fraction, object]]:
         """(parameter, value) pairs along the bottom side, sorted."""
-        out = [(k[0], v) for k, v in self.values.items() if k[1] == 0]
-        out.sort(key=lambda kv: kv[0])
-        return out
+        size = 1 << self.level
+        side = [(k, v) for k, v in self.values.items() if not k[1]]
+        side.sort(key=lambda kv: _position(kv[0], size))
+        return [(k[0], v) for k, v in side]
 
-    def _sorted_keys(self) -> list[GridKey]:
-        return sorted(self.values, key=lambda k: (k[0], k[1]))
+    def _lattice(self) -> tuple[int, list[str], list]:
+        """Row length of the flat lattice, the labels of its coordinates,
+        and the values at their flat indices (None off the grid), which
+        lists them in the order of their keys."""
+        size = 1 << self.level
+        flat = [None] * (size + 1) ** 2
+        for key, value in self.values.items():
+            flat[_position(key, size)] = value
+        return size + 1, [str(f) for f in _lattice_fractions(size)], flat
 
     def to_csv(self) -> str:
+        m, labels, flat = self._lattice()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        sample = next(iter(self.values.values()))
-        if isinstance(sample, Vec3Q):
+        if isinstance(next(iter(self.values.values())), Vec3Q):
             writer.writerow(["x", "y", "value_x", "value_y", "value_z"])
-            for k in self._sorted_keys():
-                v = self.values[k]
-                writer.writerow([str(k[0]), str(k[1]), str(v.x), str(v.y), str(v.z)])
+            writer.writerows([labels[p // m], labels[p % m], str(v.x), str(v.y), str(v.z)]
+                             for p, v in enumerate(flat) if v is not None)
         else:
             writer.writerow(["x", "y", "value"])
-            for k in self._sorted_keys():
-                writer.writerow([str(k[0]), str(k[1]), str(self.values[k])])
+            writer.writerows([labels[p // m], labels[p % m], str(v)]
+                             for p, v in enumerate(flat) if v is not None)
         return buf.getvalue()
 
     def to_json(self) -> str:
-        keys = self._sorted_keys()
-        index = {k: i for i, k in enumerate(keys)}
+        m, labels, flat = self._lattice()
         vertices = []
-        for k in keys:
-            v = self.values[k]
-            val = [str(c) for c in v.coords] if isinstance(v, Vec3Q) else str(v)
-            vertices.append({"x": str(k[0]), "y": str(k[1]), "value": val})
-        tris = sorted(tuple(sorted(index[p] for p in tri)) for tri in self.triangles)
-        return json.dumps({"level": self.level, "vertices": vertices,
-                           "triangles": tris}, separators=(",", ":"))
+        for p, v in enumerate(flat):
+            if v is None:
+                continue
+            # labels and exact values hold only digits, '-' and '/', which a
+            # JSON string carries as they are
+            value = '["%s","%s","%s"]' % v.coords if isinstance(v, Vec3Q) else '"%s"' % v
+            vertices.append('{"x":"%s","y":"%s","value":%s}' % (labels[p // m], labels[p % m],
+                                                               value))
+            flat[p] = len(vertices) - 1  # from here on, the vertex's index
+        size = m - 1
+        tris = sorted(tuple(sorted(flat[_position(k, size)] for k in tri))
+                      for tri in self.triangles)
+        return '{"level":%d,"vertices":[%s],"triangles":%s}' % (
+            self.level, ",".join(vertices), json.dumps(tris, separators=(",", ":")))
 
 
 def _grid_cap(explicit: Optional[int]) -> int:
@@ -250,46 +293,92 @@ def harmonic_grid(boundary, level: int, cap: Optional[int] = None) -> HarmonicGr
         raise ValueError("level must be nonnegative")
     if level > _grid_cap(cap):
         raise GridCapExceeded(f"level {level} exceeds grid cap {_grid_cap(cap)}")
-    tris = [(
-        (CORNER_ZERO, _exactify(boundary.at_zero)),
-        (CORNER_ONE, _exactify(boundary.at_one)),
-        (CORNER_OMEGA, _exactify(boundary.at_omega)),
-    )]
-    for _ in range(level):
-        nxt = []
-        for (ps, vs), (pt, vt), (pu, vu) in tris:
-            vst, vsu, vtu = subdivide((vs, vt, vu))
-            mst, msu, mtu = _mid(ps, pt), _mid(ps, pu), _mid(pt, pu)
-            nxt.append(((ps, vs), (mst, vst), (msu, vsu)))
-            nxt.append(((mst, vst), (pt, vt), (mtu, vtu)))
-            nxt.append(((msu, vsu), (mtu, vtu), (pu, vu)))
-        tris = nxt
+    corners = (boundary.at_zero, boundary.at_one, boundary.at_omega)
+    vector = isinstance(corners[0], Vec3Q)
+    if any(isinstance(v, Vec3Q) != vector for v in corners):
+        raise TypeError("boundary values must be all Vec3Q or all rationals")
+    coords = [[Fraction(c) for c in (v.coords if vector else (v,))] for v in corners]
+    den = math.lcm(*(c.denominator for cs in coords for c in cs))
+    scale = den * 5 ** level
+    size = 1 << level
+    m = size + 1
+    fr = _lattice_fractions(size)
     values: dict = {}
     triangles = []
-    for tri in tris:
-        for key, val in tri:
-            prev = values.setdefault(key, val)
-            if prev != val:
-                raise AssertionError(f"inconsistent value at vertex {key}")
-        triangles.append(tuple(key for key, _ in tri))
+
+    # A vertex is (flat index, key, values times den * 5**depth).  Cells are
+    # split depth first, children in the order (s, st, su), (st, t, tu),
+    # (su, tu, u), so the leaves come out in the order of a level-by-level
+    # subdivision, and `values` gets its keys in that order.  Cells meet
+    # only at corners: a midpoint is first met in the child listed first
+    # that holds it, and met once more later.  The bits 4, 2, 1 of `new`
+    # mark the corners s, t, u not met before.
+    def vertex(p, v):
+        return p, (fr[p // m], fr[p % m]), v
+
+    def store(new, vx):
+        _, key, v = vx
+        if new:
+            values[key] = (Vec3Q(*(Fraction(x, scale) for x in v)) if vector
+                           else Fraction(v[0], scale))
+            return
+        old = values.get(key)
+        if old is None or any(c.numerator * (scale // c.denominator) != x
+                              for c, x in zip(old.coords if vector else (old,), v)):
+            raise AssertionError(f"inconsistent value at vertex {key}")
+
+    def split(depth, new, s, t, u):
+        if depth == level:
+            store(new & 4, s)
+            store(new & 2, t)
+            store(new & 1, u)
+            triangles.append((s[1], t[1], u[1]))
+            return
+        (ps, ks, vs), (pt, kt, vt), (pu, ku, vu) = s, t, u
+        st = vertex((ps + pt) >> 1, tuple(2 * a + 2 * b + c for a, b, c in zip(vs, vt, vu)))
+        su = vertex((ps + pu) >> 1, tuple(2 * a + b + 2 * c for a, b, c in zip(vs, vt, vu)))
+        tu = vertex((pt + pu) >> 1, tuple(a + 2 * b + 2 * c for a, b, c in zip(vs, vt, vu)))
+        depth += 1
+        split(depth, new & 4 | 3, (ps, ks, tuple(5 * a for a in vs)), st, su)
+        split(depth, new & 2 | 1, st, (pt, kt, tuple(5 * b for b in vt)), tu)
+        split(depth, new & 1, su, tu, (pu, ku, tuple(5 * c for c in vu)))
+
+    split(0, 7, *(vertex(p, tuple(c.numerator * (den // c.denominator) for c in cs))
+                  for p, cs in zip((0, size * m, size), coords)))
     return HarmonicGrid(level, values, tuple(triangles))
 
 
 def check_harmonic(grid: HarmonicGrid) -> bool:
-    """True iff every non-corner vertex is the exact mean of its 4 neighbors."""
-    corners = set(grid.corners())
-    nbrs = grid.neighbor_map()
-    for key, val in grid.values.items():
-        if key in corners:
+    """True iff every non-corner vertex is the exact mean of its 4 neighbors.
+
+    Keys map to the 2**n lattice and values to integers over one common
+    denominator; a key off the lattice or a missing neighbour fails.
+    """
+    size = 1 << grid.level
+    try:
+        positions = [_position(k, size) for k in grid.values]
+    except ValueError:
+        return False
+    vals = list(grid.values.values())
+    columns = list(zip(*(v.coords for v in vals))) if isinstance(vals[0], Vec3Q) else [vals]
+    scale = math.lcm(*{c.denominator for column in columns for c in column})
+    flats = []
+    for column in columns:
+        flat = [None] * (size + 1) ** 2
+        for p, c in zip(positions, column):
+            flat[p] = c.numerator * (scale // c.denominator)
+        flats.append(flat)
+    corners = (0, size, size * (size + 1))
+    for p in positions:
+        if p in corners:
             continue
-        around = nbrs[key]
+        around = _neighbours(p, size)
         if len(around) != 4:
             return False
-        total = None
-        for nb in around:
-            total = grid.values[nb] if total is None else total + grid.values[nb]
-        if total != 4 * val:
-            return False
+        for flat in flats:
+            a, b, c, d = (flat[q] for q in around)
+            if None in (a, b, c, d) or a + b + c + d != 4 * flat[p]:
+                return False
     return True
 
 

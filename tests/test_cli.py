@@ -1,7 +1,15 @@
+import hashlib
 import json
 import re
+import sys
+from fractions import Fraction
 
-from sgharm.cli import main
+import pytest
+
+from sgharm.cli import CURVE_LEVEL_CAP, main
+from sgharm.harmonic import curve_point_dyadic
+from sgharm.holder import holder_exponent
+from sgharm.tangent import direction_at_rational
 
 
 def run(capsys, *argv):
@@ -150,6 +158,62 @@ def test_table_determinism(capsys):
 
 
 # ---------------------------------------------------------------------------
+# exact integers longer than the interpreter's 4300-digit str() limit
+
+# 2 has order 11068 mod 11069: the scaled trace has about 4360 digits
+LONG_PERIOD = Fraction(1, 11069)
+
+
+@pytest.fixture
+def long_integers():
+    """Parse the test's own copy of the output without the digit limit."""
+    limit = sys.get_int_max_str_digits()
+
+    def lift():
+        sys.set_int_max_str_digits(0)
+
+    yield lift
+    sys.set_int_max_str_digits(limit)
+
+
+def test_exponent_prints_long_trace(capsys, long_integers):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "exponent", str(LONG_PERIOD), "--format", "json")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    trace = holder_exponent(LONG_PERIOD).scaled_trace
+    assert trace > 10 ** 4300
+    code, text, _ = run(capsys, "exponent", str(LONG_PERIOD))
+    assert code == 0
+    long_integers()
+    assert json.loads(out)["scaled_trace"] == trace
+    assert int(re.search(r"scaled_trace=(\d+)", text).group(1)) == trace
+
+
+def test_direction_exact_prints_long_chart(capsys, long_integers):
+    code, out, err = run(capsys, "direction", str(LONG_PERIOD), "--exact")
+    assert code == 0 and err == ""
+    chart = direction_at_rational(LONG_PERIOD).chart
+    long_integers()
+    data = json.loads(out)
+    assert Fraction(data["chart_t"]) == chart.t and Fraction(data["chart_d"]) == chart.d
+
+
+def test_eval_prints_long_dyadic_value(capsys, long_integers):
+    # the value at 1/2**7000 has denominator 5**7000, of 4893 digits
+    code, out, err = run(capsys, "eval", f"1/{2 ** 7000}", "--format", "json")
+    assert code == 0 and err == ""
+    long_integers()
+    want = curve_point_dyadic(1, 7000).coords
+    assert tuple(Fraction(c) for c in json.loads(out)["value"]) == want
+
+
+def test_long_parameter_still_rejected(capsys):
+    code, _, err = run(capsys, "exponent", "1/" + "7" * 4400)
+    assert code == 2 and "cannot parse parameter" in err
+
+
+# ---------------------------------------------------------------------------
 # direction
 
 
@@ -203,6 +267,35 @@ def test_render_triangle_segments(tmp_path, capsys):
     assert code == 0
     text = out_file.read_text()
     assert text.count("M ") == 9
+
+
+# sha256 of `render triangle --level 4` at the default canvas, as written by
+# the Fraction-keyed grid that the integer-lattice build replaced
+TRIANGLE_LEVEL_4_SHA256 = "b35a2ecb2161a6a555f6e4e73c6c7bd34e2c3283ec2a4b1cb12b1c2a37d2be02"
+
+
+def test_render_triangle_level_4_unchanged(tmp_path, capsys):
+    out_file = tmp_path / "tri.svg"
+    code, _, _ = run(capsys, "render", "triangle", "--level", "4", "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == TRIANGLE_LEVEL_4_SHA256
+
+
+def test_render_level_bounds(tmp_path, capsys, monkeypatch):
+    import sgharm.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("render did work above the cap")
+
+    monkeypatch.setattr(sgharm.cli, "curve_point_dyadic", no_work)
+    out_file = tmp_path / "curve.svg"
+    for target, level in (("curve", -2), ("triangle", -1)):
+        code, out, err = run(capsys, "render", target, "--level", str(level), "--out", str(out_file))
+        assert code == 3 and out == "" and err == f"error: level must be nonnegative, got {level}\n"
+    code, out, err = run(capsys, "render", "curve", "--level", str(CURVE_LEVEL_CAP + 1),
+                         "--out", str(out_file))
+    assert code == 3 and out == "" and f"exceeds the cap {CURVE_LEVEL_CAP}" in err
+    assert not out_file.exists()
 
 
 def test_render_io_error(capsys):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 from fractions import Fraction
@@ -14,6 +16,9 @@ from sgharm.exact import (
 from sgharm.harmonic import (
     BoundaryTriple,
     CENTROID,
+    CORNER_OMEGA,
+    CORNER_ONE,
+    CORNER_ZERO,
     FORM_PRESETS,
     GridCapExceeded,
     LinearForm,
@@ -252,6 +257,42 @@ def test_perturbed_grid_fails():
     assert not check_harmonic(grid)
 
 
+def _perturbed_key(grid):
+    return next(k for k in grid.values if k not in grid.corners())
+
+
+def test_check_rejects_perturbed_vector_vertex():
+    grid = harmonic_grid(VECTOR_BOUNDARY, 5)
+    assert check_harmonic(grid)
+    key = list(grid.values)[len(grid.values) // 2]
+    grid.values[key] = grid.values[key] + Vec3Q.of(0, 0, Fraction(1, 5 ** 9))
+    assert not check_harmonic(grid)
+
+
+def test_check_rejects_deleted_vertex():
+    grid = harmonic_grid(VECTOR_BOUNDARY, 5)
+    del grid.values[_perturbed_key(grid)]
+    assert not check_harmonic(grid)
+
+
+@pytest.mark.parametrize("off", [(Fraction(1, 3), Fraction(0)), (Fraction(0), Fraction(1, 3)),
+                                 (Fraction(-1, 32), Fraction(0)), (Fraction(1), Fraction(1, 2))])
+def test_check_rejects_key_off_the_lattice(off):
+    grid = harmonic_grid(VECTOR_BOUNDARY, 5)
+    grid.values[off] = grid.values.pop(_perturbed_key(grid))
+    assert not check_harmonic(grid)
+    grid = harmonic_grid(VECTOR_BOUNDARY, 5)
+    grid.values[off] = grid.values[_perturbed_key(grid)]
+    assert not check_harmonic(grid)
+
+
+def test_check_rejects_vertex_in_a_hole():
+    # a lattice point inside a removed triangle has no cell and no neighbours
+    grid = harmonic_grid(VECTOR_BOUNDARY, 5)
+    grid.values[(Fraction(3, 8), Fraction(3, 8))] = grid.values[_perturbed_key(grid)]
+    assert not check_harmonic(grid)
+
+
 def test_interior_degree_is_four():
     grid = harmonic_grid(VECTOR_BOUNDARY, 4)
     nbrs = grid.neighbor_map()
@@ -288,6 +329,84 @@ def test_grid_exports():
     assert len(data["vertices"]) == 6
     assert len(data["triangles"]) == 3
     assert data["vertices"][0]["value"] == ["1", "0", "0"]
+
+
+# ---------------------------------------------------------------------------
+# the integer-lattice grid against a Fraction subdivision
+
+
+def reference_grid(boundary, level):
+    """Level-by-level subdivision with Fraction keys and values: children
+    (s, st, su), (st, t, tu), (su, tu, u), vertices kept in order of first
+    appearance."""
+    def mid(p, q):
+        return ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+
+    exact = [Fraction(v) if isinstance(v, int) else v
+             for v in (boundary.at_zero, boundary.at_one, boundary.at_omega)]
+    tris = [tuple(zip((CORNER_ZERO, CORNER_ONE, CORNER_OMEGA), exact))]
+    for _ in range(level):
+        nxt = []
+        for (ps, vs), (pt, vt), (pu, vu) in tris:
+            vst, vsu, vtu = subdivide((vs, vt, vu))
+            mst, msu, mtu = mid(ps, pt), mid(ps, pu), mid(pt, pu)
+            nxt.append(((ps, vs), (mst, vst), (msu, vsu)))
+            nxt.append(((mst, vst), (pt, vt), (mtu, vtu)))
+            nxt.append(((msu, vsu), (mtu, vtu), (pu, vu)))
+        tris = nxt
+    values = {}
+    for tri in tris:
+        for key, val in tri:
+            assert values.setdefault(key, val) == val
+    return values, tuple(tuple(key for key, _ in tri) for tri in tris)
+
+
+def reference_exports(level, values, triangles):
+    """to_json, to_csv and side_values with keys sorted as Fraction pairs."""
+    keys = sorted(values)
+    vector = isinstance(values[keys[0]], Vec3Q)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["x", "y", "value_x", "value_y", "value_z"] if vector else ["x", "y", "value"])
+    for k in keys:
+        coords = values[k].coords if vector else (values[k],)
+        writer.writerow([str(k[0]), str(k[1]), *(str(c) for c in coords)])
+    index = {k: i for i, k in enumerate(keys)}
+    vertices = [{"x": str(k[0]), "y": str(k[1]),
+                 "value": [str(c) for c in values[k].coords] if vector else str(values[k])}
+                for k in keys]
+    tris = sorted(tuple(sorted(index[p] for p in tri)) for tri in triangles)
+    text = json.dumps({"level": level, "vertices": vertices, "triangles": tris},
+                      separators=(",", ":"))
+    side = sorted(((k[0], v) for k, v in values.items() if k[1] == 0), key=lambda kv: kv[0])
+    return text, buf.getvalue(), side
+
+
+def _differential_boundaries():
+    rng = random.Random(17)
+    yield VECTOR_BOUNDARY
+    yield BoundaryTriple(1, 0, Fraction(2, 3))
+    for den in (7, 997, 10 ** 6):
+        yield BoundaryTriple(*(rand_frac(rng, den) for _ in range(3)))
+    yield BoundaryTriple(*(Vec3Q(*(rand_frac(rng) for _ in range(3))) for _ in range(3)))
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_grid_matches_fraction_subdivision(level):
+    for boundary in _differential_boundaries():
+        grid = harmonic_grid(boundary, level)
+        values, triangles = reference_grid(boundary, level)
+        assert list(grid.values.items()) == list(values.items())
+        assert grid.triangles == triangles
+        text, csv_text, side = reference_exports(level, values, triangles)
+        assert grid.to_json() == text
+        assert grid.to_csv() == csv_text
+        assert grid.side_values() == side
+
+
+def test_grid_rejects_mixed_boundary():
+    with pytest.raises(TypeError):
+        harmonic_grid(BoundaryTriple(E0, Fraction(1), Fraction(0)), 1)
 
 
 # ---------------------------------------------------------------------------
