@@ -216,10 +216,10 @@ def _check_table(reports) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.check and (args.max_len != 7 or args.no_dedupe_complement):
+        raise CliDomainError("--check requires max_len 7 with complement dedupe")
     reports = generate_table(args.max_len, dedupe_complement=not args.no_dedupe_complement)
     if args.check:
-        if args.max_len != 7 or args.no_dedupe_complement:
-            raise CliDomainError("--check requires max_len 7 with complement dedupe")
         return _check_table(reports)
     if args.format == "csv":
         sys.stdout.write(table_csv(reports))

@@ -171,10 +171,6 @@ _GEN3 = {
     "w": ScaledIntMat3(((2, 1, 0), (1, 2, 0), (2, 2, 5)), 1),
 }
 
-# Swaps the first two coordinates; conjugates the two generators into each
-# other and implements the mirror symmetry of the boundary curve.
-SWAP_XY = ScaledIntMat3(((0, 1, 0), (1, 0, 0), (0, 0, 1)), 0)
-
 
 def generator_matrix(symbol) -> ScaledIntMat3:
     """Exact transition matrix of one subdivision map (symbol 0, 1 or w)."""
@@ -301,7 +297,7 @@ def chart_word_matrix(word: str) -> ScaledIntMat2:
 
 
 def quad_sign(p: Fraction, q: Fraction, d: Fraction) -> int:
-    """Exact sign of p + q*sqrt(d) with d >= 0."""
+    """Exact sign of p + q*sqrt(d) with d >= 0, for ints or Fractions."""
     if d < 0:
         raise ValueError("negative radicand")
     sgn = lambda v: (v > 0) - (v < 0)
@@ -338,9 +334,6 @@ class QuadraticValue:
     def as_pair(self) -> tuple[Fraction, Fraction]:
         half = Fraction(1, 2) if self.plus_root else Fraction(-1, 2)
         return (self.t / 2, half)
-
-    def conjugate(self) -> "QuadraticValue":
-        return QuadraticValue(self.t, self.d, not self.plus_root)
 
     def compare(self, r: RationalLike) -> int:
         """Exact three-way comparison with a rational."""
@@ -496,19 +489,14 @@ def _carmichael(m: int) -> int:
     return lam
 
 
-def _divisors_sorted(n: int) -> list[int]:
-    divs = [1]
-    for p, e in _factorize(n).items():
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def _mult_order_2(m: int) -> int:
-    # m odd, m > 1
-    for d in _divisors_sorted(_carmichael(m)):
-        if pow(2, d, m) == 1:
-            return d
-    raise ArithmeticError(f"no multiplicative order for 2 mod {m}")
+    # m odd, m > 1: the order divides k = lambda(m); divide each prime p out
+    # of k while 2**(k/p) is still 1 mod m
+    k = _carmichael(m)
+    for p in _factorize(k):
+        while k % p == 0 and pow(2, k // p, m) == 1:
+            k //= p
+    return k
 
 
 def expand(s: RationalLike, variant: ExpansionVariant = ExpansionVariant.UPPER) -> Expansion:

@@ -25,9 +25,9 @@ from .exact import (
     RationalLike,
     edge_word_matrix,
     expand_auto,
-    expansion_value,
     max_cyclic_run,
     necklace_classes,
+    quad_sign,
     transition_density,
     _EDGE_GEN,
     _fold2,
@@ -144,20 +144,15 @@ def _period_sign(period: str) -> tuple[int, int]:
     """Scaled trace t and the exact sign of lam - 2**-n, in integers only.
 
     The period's edge restriction has determinant (3/25)**n, so its dominant
-    eigenvalue is lam = (t + sqrt(t*t - 4*3**n)) / (2*5**n), and lam < 2**-n
-    exactly when 2**n * sqrt(t*t - 4*3**n) < r = 2*5**n - t*2**n.
+    eigenvalue is lam = (t + sqrt(t*t - 4*3**n)) / (2*5**n), and
+    2**(n+1) * 5**n * (lam - 2**-n) = t*2**n - 2*5**n + 2**n * sqrt(t*t - 4*3**n).
     """
     (a, b), (c, d) = edge_word_matrix(period).entries
     n = len(period)
     if a * d - b * c != 3 ** n:
         raise AssertionError("restriction determinant is off")
     t = a + d
-    disc = t * t - 4 * 3 ** n
-    r = 2 * 5 ** n - (t << n)
-    if r <= 0:  # 2**n * sqrt(disc) >= 0 >= r, with equality only for the empty word
-        return t, int(r < 0 or disc > 0)
-    diff = (disc << 2 * n) - r * r
-    return t, (diff > 0) - (diff < 0)
+    return t, quad_sign((t << n) - 2 * 5 ** n, 1 << n, t * t - 4 * 3 ** n)
 
 
 def _derivative_class(sign: int) -> DerivativeClass:
@@ -337,7 +332,7 @@ def generate_table(max_len: int, dedupe_complement: bool = True,
     reports = []
     for length in range(1, max_len + 1):
         for word in necklace_classes(length, dedupe_complement):
-            s = expansion_value(Expansion("", word)) if word != "1" else Fraction(1)
+            s = Expansion("", word).value() if word != "1" else Fraction(1)
             reports.append(holder_exponent(s))
     reports.sort(key=lambda r: (-r.alpha, r.s))
     return reports

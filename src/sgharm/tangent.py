@@ -155,45 +155,12 @@ def direction_at(s: Union[Expansion, RationalLike], side: Side = Side.RIGHT,
     return ProjDir(chart=chart, exact=False, error=err, source=e, side=side)
 
 
-def _attracting_fixed_point(m: Mat2i) -> QuadraticValue:
-    """The unique fixed point of the Moebius map inside the chart interval."""
-    (p, q), (r, s) = m
-    if r == 0:
-        if p == s:
-            raise ValueError("projective map is the identity")
-        return QuadraticValue.from_pair(Fraction(q, s - p), Fraction(0), Fraction(0))
-    disc = Fraction((s - p) ** 2 + 4 * r * q)
-    if disc < 0:
-        raise ValueError("projective map has no real fixed point")
-    t0 = Fraction(p - s, r)
-    d0 = disc / Fraction(r * r)
-    candidates = [QuadraticValue(t0, d0, True), QuadraticValue(t0, d0, False)]
-    inside = [c for c in candidates
-              if c.compare(CHART_LO) >= 0 and c.compare(CHART_HI) <= 0]
-    if len(inside) != 1:
-        raise ValueError("expected exactly one fixed point in the chart interval")
-    return inside[0]
-
-
-def _moebius_quad(m: Mat2i, x: QuadraticValue) -> QuadraticValue:
-    (pp, qq), (rr, ss) = m
-    p, q = x.as_pair()
-    d = x.d
-    num = (pp * p + qq, pp * q)
-    den = (rr * p + ss, rr * q)
-    norm = den[0] * den[0] - den[1] * den[1] * d
-    if norm == 0:
-        raise ConeError("chart left the domain of the projective map")
-    rp = (num[0] * den[0] - num[1] * den[1] * d) / norm
-    rq = (num[1] * den[0] - num[0] * den[1]) / norm
-    return QuadraticValue.from_pair(rp, rq, d)
-
-
 def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadDir:
     """Exact one-sided direction at a rational parameter.
 
-    The chart is the dominant eigendirection of the period's restriction,
-    pushed through the preperiod's projective map.
+    The chart is the fixed point of the period's projective map inside the
+    chart interval, pushed through the preperiod's projective map.  Both
+    steps work on integers, with the chart held as (u + w*sqrt(D)) / R.
     """
     frac = Fraction(s)
     if not 0 <= frac <= 1:
@@ -201,10 +168,33 @@ def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadD
     if side is None:
         side = Side.RIGHT if frac < 1 else Side.LEFT
     e = _expansion_for(frac, side)
-    fixed = _attracting_fixed_point(projective_word_matrix(e.period))
-    chart = fixed
+    (p, q), (r, s) = projective_word_matrix(e.period)
+    if r == 0:
+        if p == s:
+            raise ValueError("projective map is the identity")
+        u, w, R, D = q, 1, s - p, 0
+    else:
+        # fixed points of x -> (p*x + q) / (r*x + s): (p - s +- sqrt(D)) / (2*r)
+        D = (s - p) ** 2 + 4 * r * q
+        if D < 0:
+            raise ValueError("projective map has no real fixed point")
+        u, R = (p - s, 2 * r) if r > 0 else (s - p, -2 * r)
+        # with R > 0, -1/3 <= (u + w*sqrt(D)) / R <= 1/3 is a sign test on
+        # each of 3*u + R + 3*w*sqrt(D) and 3*u - R + 3*w*sqrt(D)
+        inside = [w for w in (1, -1)
+                  if quad_sign(3 * u + R, 3 * w, D) >= 0 >= quad_sign(3 * u - R, 3 * w, D)]
+        if len(inside) != 1:
+            raise ValueError("expected exactly one fixed point in the chart interval")
+        w, = inside
     if e.preperiod:
-        chart = _moebius_quad(projective_word_matrix(e.preperiod), fixed)
+        (a, b), (c, d) = projective_word_matrix(e.preperiod)
+        n0, n1, d0, d1 = a * u + b * R, a * w, c * u + d * R, c * w
+        norm = d0 * d0 - d1 * d1 * D
+        if norm == 0:
+            raise ConeError("chart left the domain of the projective map")
+        # (n0 + n1*sqrt(D)) / (d0 + d1*sqrt(D)), rationalised by the conjugate
+        u, w, R = n0 * d0 - n1 * d1 * D, n1 * d0 - n0 * d1, norm
+    chart = QuadraticValue.from_pair(Fraction(u, R), Fraction(w, R), D)
     return QuadDir(chart=chart, period=e.period, preperiod=e.preperiod, side=side)
 
 

@@ -129,9 +129,18 @@ def test_table_check_passes(capsys):
     assert code == 0 and "passed" in out
 
 
-def test_table_check_requires_default_shape(capsys):
-    code, _, err = run(capsys, "table", "6", "--check")
-    assert code == 3
+def test_table_check_requires_default_shape(capsys, monkeypatch):
+    import sgharm.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("table built before --check rejected its shape")
+
+    # the shape is rejected before the table is built
+    monkeypatch.setattr(sgharm.cli, "generate_table", no_work)
+    for argv in (("table", "6", "--check"), ("table", "20", "--check"),
+                 ("table", "7", "--check", "--no-dedupe-complement")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "--check requires max_len 7" in err
 
 
 def test_table_one_row(capsys):
@@ -155,6 +164,33 @@ def test_table_determinism(capsys):
     a = run(capsys, "table", "5", "--format", "json")
     b = run(capsys, "table", "5", "--format", "json")
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# golden outputs of the exact commands
+
+GOLDEN_PARAMETERS = ["0", "1", "5/127", "1/1019"] + [
+    str(s) for s in sorted({Fraction(p, q) for q in range(2, 41) for p in range(1, q)})]
+
+# sha256 of the JSON lines below, as written before the quadratic arithmetic
+# of the exponent class and the tangent fixed point moved to integers
+GOLDEN_SHA256 = "ee4c5469b230124af8760670d92b375cebea012f2a27afbe0309c702baf4a70b"
+
+
+def test_golden_outputs_unchanged(capsys):
+    lines = []
+    for s in GOLDEN_PARAMETERS:
+        commands = [("exponent", s, "--format", "json")]
+        commands += [("direction", s, "--exact", "--side", side)
+                     for side, ok in (("right", s != "1"), ("left", s != "0")) if ok]
+        commands += [("classify", s, form, "--format", "json")
+                     for form in ("phi", "psi", "chi", "xi")]
+        for argv in commands:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out.count("\n") == 1, argv
+            lines.append(out)
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_SHA256
 
 
 # ---------------------------------------------------------------------------

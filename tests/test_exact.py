@@ -38,6 +38,7 @@ from sgharm.exact import (
     restrict_to_plane,
     transition_density,
     word_product,
+    _mult_order_2,
 )
 
 UPPER = ExpansionVariant.UPPER
@@ -359,6 +360,18 @@ def test_expand_round_trip_large():
             e = expand(s, variant)
             assert e.value() == s
             assert expand(e.value(), variant) == e
+
+
+def test_mult_order_2_against_sympy():
+    from sympy.ntheory import n_order
+
+    rng = random.Random(31)
+    primes = [p for p in range(3, 5000, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+    semiprimes = [rng.choice(primes) * rng.choice(primes) for _ in range(200)]
+    carmichael = [561, 1105, 1729, 2465, 2821]
+    mersenne = [(1 << p) - 1 for p in range(2, 32)]
+    for m in [*range(3, 20000, 2), *semiprimes, *carmichael, *mersenne]:
+        assert _mult_order_2(m) == n_order(2, m), m
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import sgharm.tangent
 from sgharm.exact import (
     CHART_BASIS,
+    Expansion,
     MAJOR_EIGVEC_0,
     MAJOR_EIGVEC_1,
     MINOR_EIGVEC_0,
     MINOR_EIGVEC_1,
+    QuadraticValue,
     generator_matrix,
     quad_sign,
     restrict_to_plane,
@@ -198,6 +202,83 @@ def test_exact_direction_satisfies_moebius_fixed_point():
         sq = (p * p + w * w * qd.chart.d, 2 * p * w)
         expr = (rr * sq[0] + (ss - pp) * p - qq, rr * sq[1] + (ss - pp) * w)
         assert expr == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference for the integer fixed point and preperiod map
+
+
+def _attracting_fixed_point(m):
+    """The unique fixed point of the Moebius map inside the chart interval."""
+    (p, q), (r, s) = m
+    if r == 0:
+        if p == s:
+            raise ValueError("projective map is the identity")
+        return QuadraticValue.from_pair(Fraction(q, s - p), Fraction(0), Fraction(0))
+    disc = Fraction((s - p) ** 2 + 4 * r * q)
+    if disc < 0:
+        raise ValueError("projective map has no real fixed point")
+    t0 = Fraction(p - s, r)
+    d0 = disc / Fraction(r * r)
+    candidates = [QuadraticValue(t0, d0, True), QuadraticValue(t0, d0, False)]
+    inside = [c for c in candidates
+              if c.compare(CHART_LO) >= 0 and c.compare(CHART_HI) <= 0]
+    if len(inside) != 1:
+        raise ValueError("expected exactly one fixed point in the chart interval")
+    return inside[0]
+
+
+def _moebius_quad(m, x):
+    (pp, qq), (rr, ss) = m
+    p, q = x.as_pair()
+    d = x.d
+    num = (pp * p + qq, pp * q)
+    den = (rr * p + ss, rr * q)
+    norm = den[0] * den[0] - den[1] * den[1] * d
+    if norm == 0:
+        raise ConeError("chart left the domain of the projective map")
+    rp = (num[0] * den[0] - num[1] * den[1] * d) / norm
+    rq = (num[1] * den[0] - num[0] * den[1]) / norm
+    return QuadraticValue.from_pair(rp, rq, d)
+
+
+def _reference_chart(e):
+    chart = _attracting_fixed_point(projective_word_matrix(e.period))
+    if e.preperiod:
+        chart = _moebius_quad(projective_word_matrix(e.preperiod), chart)
+    return chart
+
+
+def _fields(chart):
+    return (str(chart.t), str(chart.d), chart.plus_root)
+
+
+def test_exact_direction_matches_fraction_reference():
+    for q in range(1, 65):
+        for p in range(q + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            for side in [side for side, ok in ((Side.RIGHT, p < q), (Side.LEFT, p > 0)) if ok]:
+                qd = direction_at_rational(Fraction(p, q), side)
+                e = Expansion(qd.preperiod, qd.period)
+                assert _fields(qd.chart) == _fields(_reference_chart(e)), (p, q, side)
+
+
+def test_exact_direction_matches_fraction_reference_long_words(monkeypatch):
+    # long random words have denominators that expand() cannot factor quickly,
+    # so the expansion is handed to direction_at_rational directly
+    rng = random.Random(27)
+    for k in range(12):
+        period = "".join(rng.choice("01") for _ in range(rng.randrange(200, 3001)))
+        preperiod = ""
+        if k % 2:
+            preperiod = "".join(rng.choice("01") for _ in range(rng.randrange(1, 301)))
+            preperiod = preperiod[:-1] + ("1" if period[-1] == "0" else "0")
+        e = Expansion(preperiod, period)
+        monkeypatch.setattr(sgharm.tangent, "expand", lambda frac, variant, e=e: e)
+        qd = direction_at_rational(e.value(), Side.RIGHT)
+        assert (qd.period, qd.preperiod) == (period, preperiod)
+        assert _fields(qd.chart) == _fields(_reference_chart(e)), k
 
 
 def test_exact_matches_iterative():
