@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .exact import Expansion, expand_auto
+from .exact import Expansion
 from .harmonic import (
     GridCapExceeded,
     LinearForm,
@@ -39,7 +39,6 @@ from .holder import (
 from .tangent import (
     KernelVerdict,
     Side,
-    SideError,
     direction_at,
     direction_at_rational,
     direction_vector,
@@ -76,6 +75,8 @@ REFERENCE_ROWS = (
 
 # `render curve` writes 2**level + 1 points; its time grows about 1.8x per level
 CURVE_LEVEL_CAP = 16
+# `eval --terms`: the error bound 2 * (3/5)**terms reaches its floor 5e-324 near 1460
+EVAL_TERMS_CAP = 4096
 
 
 class CliInputError(ValueError):
@@ -129,6 +130,8 @@ def _long_integers():
 
 def cmd_eval(args) -> int:
     s = parse_parameter(args.s)
+    if args.terms > EVAL_TERMS_CAP:
+        raise CliDomainError(f"terms {args.terms} exceeds the cap {EVAL_TERMS_CAP}")
     digits = args.precision
     if s.denominator & (s.denominator - 1) == 0:
         v = curve_point_dyadic(s.numerator, s.denominator.bit_length() - 1)
@@ -139,8 +142,7 @@ def cmd_eval(args) -> int:
             else:
                 _emit(" ".join(str(c) for c in v.coords))
         return 0
-    e = expand_auto(s)
-    v = truncated_curve_value(e, args.terms)
+    v = truncated_curve_value(s, args.terms)
     bound = approx_error_bound(args.terms)
     floats = v.floats()
     if args.format == "json":
@@ -417,10 +419,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CliDomainError, GridCapExceeded, TableCapExceeded, SideError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (ValueError, GridCapExceeded, TableCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -499,6 +499,26 @@ def _mult_order_2(m: int) -> int:
     return k
 
 
+def _prefix_bits(s: RationalLike, n: int, variant: ExpansionVariant) -> str:
+    """expand(s, variant).bits(n) by long division, without the period.
+
+    The upper expansion starts with the n-bit floor of s * 2**n, the lower one
+    with the n-bit ceiling minus one; they differ only at dyadics.
+    """
+    s = Fraction(s)
+    if not 0 <= s <= 1:
+        raise ValueError(f"{s} is outside [0,1]")
+    head = s.numerator << n
+    if variant is ExpansionVariant.UPPER:
+        if s == 1:
+            raise ValueError("1 has no upper expansion")
+    elif s == 0:
+        raise ValueError("0 has no lower expansion")
+    else:
+        head -= 1
+    return format(head // s.denominator, f"0{n}b") if n else ""
+
+
 def expand(s: RationalLike, variant: ExpansionVariant = ExpansionVariant.UPPER) -> Expansion:
     """Binary expansion of a rational in [0,1] in the requested variant.
 
@@ -506,25 +526,14 @@ def expand(s: RationalLike, variant: ExpansionVariant = ExpansionVariant.UPPER) 
     has no upper expansion; those combinations raise ValueError.
     """
     s = Fraction(s)
-    if not 0 <= s <= 1:
-        raise ValueError(f"{s} is outside [0,1]")
-    p, q = s.numerator, s.denominator
+    q = s.denominator
     a = (q & -q).bit_length() - 1
+    pre = _prefix_bits(s, a, variant)
     m = q >> a
     if m == 1:
-        if variant is ExpansionVariant.UPPER:
-            if s == 1:
-                raise ValueError("1 has no upper expansion")
-            pre = format(p, f"0{a}b") if a else ""
-            return Expansion(pre, "0", variant)
-        if s == 0:
-            raise ValueError("0 has no lower expansion")
-        pre = format(p - 1, f"0{a}b") if a else ""
-        return Expansion(pre, "1", variant)
-    head, tail = divmod(p, m)
-    pre = format(head, f"0{a}b") if a else ""
+        return Expansion(pre, "0" if variant is ExpansionVariant.UPPER else "1", variant)
     k = _mult_order_2(m)
-    period_int = tail * ((1 << k) - 1) // m
+    period_int = s.numerator % m * ((1 << k) - 1) // m
     return Expansion(pre, format(period_int, f"0{k}b"), variant)
 
 

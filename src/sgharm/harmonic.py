@@ -21,11 +21,12 @@ from .exact import (
     E1,
     EW,
     Expansion,
+    ExpansionVariant,
     RationalLike,
     Vec3Q,
-    expand_auto,
     _GEN3,
     _norm_symbol,
+    _prefix_bits,
 )
 
 CENTROID = Vec3Q.of(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
@@ -92,10 +93,12 @@ class ApproxPoint:
     error_bound: float
 
 
-def _apply_word_int(word: str, start: tuple[int, int, int]) -> tuple[int, int, int]:
+def _word_value(word: str, start: tuple[int, int, int], den: int) -> Vec3Q:
+    """Exact image of the point start / den under the maps of a {0,1,w} word."""
     for ch in reversed(word):
         start = _GEN3[ch].apply_int(start)
-    return start
+    den *= 5 ** len(word)
+    return Vec3Q(*(Fraction(c, den) for c in start))
 
 
 def curve_point_dyadic(k: int, n: int) -> Vec3Q:
@@ -104,32 +107,29 @@ def curve_point_dyadic(k: int, n: int) -> Vec3Q:
         raise ValueError(f"{k}/2^{n} is outside [0,1]")
     if k == 1 << n:
         return E1
-    word = format(k, f"0{n}b") if n else ""
-    x, y, z = _apply_word_int(word, (1, 0, 0))
-    den = 5 ** n
-    return Vec3Q(Fraction(x, den), Fraction(y, den), Fraction(z, den))
+    return _word_value(format(k, f"0{n}b") if n else "", (1, 0, 0), 1)
 
 
 def vertex_value(address: str) -> Vec3Q:
     """Exact vector harmonic value at the vertex addressed by a {0,1,w} word."""
-    word = "".join(_norm_symbol(ch) for ch in address)
-    x, y, z = _apply_word_int(word, (1, 0, 0))
-    den = 5 ** len(word)
-    return Vec3Q(Fraction(x, den), Fraction(y, den), Fraction(z, den))
+    return _word_value("".join(_norm_symbol(ch) for ch in address), (1, 0, 0), 1)
 
 
-def truncated_curve_value(e: Expansion, terms: int, start: Vec3Q = CENTROID) -> Vec3Q:
-    """Exact image of a start point under the first `terms` expansion letters."""
+def truncated_curve_value(e: Union[Expansion, RationalLike], terms: int,
+                          start: Vec3Q = CENTROID) -> Vec3Q:
+    """Exact image of a start point under the first `terms` expansion letters.
+
+    A rational takes its upper expansion, or its lower one at 1.
+    """
     if terms < 0:
         raise ValueError("terms must be nonnegative")
-    word = e.bits(terms)
-    den0 = 1
-    for c in start.coords:
-        den0 = den0 * c.denominator // math.gcd(den0, c.denominator)
-    ints = tuple(int(c * den0) for c in start.coords)
-    x, y, z = _apply_word_int(word, ints)
-    den = den0 * 5 ** len(word)
-    return Vec3Q(Fraction(x, den), Fraction(y, den), Fraction(z, den))
+    if isinstance(e, Expansion):
+        word = e.bits(terms)
+    else:
+        s = Fraction(e)
+        word = _prefix_bits(s, terms, ExpansionVariant.LOWER if s == 1 else ExpansionVariant.UPPER)
+    den = math.lcm(*(c.denominator for c in start.coords))
+    return _word_value(word, tuple(c.numerator * (den // c.denominator) for c in start.coords), den)
 
 
 def approx_error_bound(terms: int) -> float:
@@ -141,8 +141,7 @@ def approx_error_bound(terms: int) -> float:
 def curve_point(s: Union[Expansion, RationalLike], terms: int = 48,
                 start: Vec3Q = CENTROID) -> ApproxPoint:
     """Certified approximation of the curve at any parameter in [0,1]."""
-    e = s if isinstance(s, Expansion) else expand_auto(Fraction(s))
-    v = truncated_curve_value(e, terms, start)
+    v = truncated_curve_value(s, terms, start)
     return ApproxPoint(v.floats(), approx_error_bound(terms))
 
 
@@ -390,12 +389,7 @@ def mirror(v: Vec3Q) -> Vec3Q:
 def form_value(form: LinearForm, s: Union[Expansion, RationalLike],
                terms: int = 48) -> Union[Fraction, ApproxPoint]:
     """Scalar harmonic value along the side: exact at dyadics, certified otherwise."""
-    if isinstance(s, Expansion):
-        frac = s.value()
-        e: Optional[Expansion] = s
-    else:
-        frac = Fraction(s)
-        e = None
+    frac = s.value() if isinstance(s, Expansion) else Fraction(s)
     if not 0 <= frac <= 1:
         raise ValueError(f"{frac} is outside [0,1]")
     den = frac.denominator
@@ -403,8 +397,6 @@ def form_value(form: LinearForm, s: Union[Expansion, RationalLike],
         n = den.bit_length() - 1
         v = curve_point_dyadic(frac.numerator, n)
         return form(v)
-    if e is None:
-        e = expand_auto(frac)
-    v = truncated_curve_value(e, terms)
+    v = truncated_curve_value(s, terms)
     bound = float(form.l1()) * approx_error_bound(terms)
     return ApproxPoint((float(form(v)),), bound)

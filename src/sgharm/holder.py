@@ -34,7 +34,7 @@ from .exact import (
     _mul2,
 )
 from .harmonic import LinearForm
-from .tangent import KernelVerdict, Side, direction_at_rational, kernel_test
+from .tangent import KernelVerdict, direction_at_rational, kernel_test
 
 LN2 = math.log(2.0)
 LN5 = math.log(5.0)
@@ -173,8 +173,6 @@ def holder_exponent(s: RationalLike, width: float = 1e-12) -> HolderReport:
     dropped; only the period word enters.
     """
     frac = Fraction(s)
-    if not 0 <= frac <= 1:
-        raise ValueError(f"{frac} is outside [0,1]")
     e = expand_auto(frac)
     n = len(e.period)
     t, sign = _period_sign(e.period)
@@ -264,10 +262,7 @@ def classify_curve(s: RationalLike) -> DerivativeClass:
     Zero iff the exponent exceeds 1, infinite iff it is below 1; the value 1
     itself cannot occur, so the verdict is always decided.
     """
-    frac = Fraction(s)
-    if not 0 <= frac <= 1:
-        raise ValueError(f"{frac} is outside [0,1]")
-    return _derivative_class(_period_sign(expand_auto(frac).period)[1])
+    return _derivative_class(_period_sign(expand_auto(s).period)[1])
 
 
 def classify_form(form: LinearForm, s: RationalLike) -> DerivativeClass:
@@ -276,16 +271,12 @@ def classify_form(form: LinearForm, s: RationalLike) -> DerivativeClass:
     Inherits the curve's class when the tangent direction avoids the form's
     kernel; kernel directions are reported as EXCEPTIONAL.
     """
-    frac = Fraction(s)
-    if not 0 <= frac <= 1:
-        raise ValueError(f"{frac} is outside [0,1]")
-    side = Side.RIGHT if frac < 1 else Side.LEFT
-    verdict = kernel_test(form, direction_at_rational(frac, side))
+    verdict = kernel_test(form, direction_at_rational(s))
     if verdict is KernelVerdict.IN_KERNEL:
         return DerivativeClass.EXCEPTIONAL
     if verdict is KernelVerdict.UNDETERMINED:
         return DerivativeClass.UNDETERMINED
-    return classify_curve(frac)
+    return classify_curve(s)
 
 
 def exponent_bound(e: Expansion) -> tuple[float, float]:

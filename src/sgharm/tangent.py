@@ -28,6 +28,7 @@ from .exact import (
     quad_sign,
     _CHART_GEN,
     _fold2,
+    _prefix_bits,
 )
 from .harmonic import LinearForm
 
@@ -67,7 +68,7 @@ class ProjDir:
     chart: Fraction
     exact: bool
     error: Optional[Fraction] = None
-    source: Optional[Expansion] = None
+    source: Union[Expansion, Fraction, None] = None
     side: Optional[Side] = None
 
 
@@ -124,35 +125,28 @@ def _iterations_for(tol: Fraction) -> int:
     return n
 
 
-def _expansion_for(s, side: Side) -> Expansion:
-    if isinstance(s, Expansion):
-        frac = s.value()
-        given: Optional[Expansion] = s
-    else:
-        frac = Fraction(s)
-        given = None
+def _side_variant(frac: Fraction, side: Side) -> ExpansionVariant:
+    """The expansion whose letters give the one-sided limit at frac."""
     if side is Side.RIGHT:
         if frac >= 1:
             raise SideError("no right-side limit at parameter 1")
-        want = ExpansionVariant.UPPER
-    else:
-        if frac <= 0:
-            raise SideError("no left-side limit at parameter 0")
-        want = ExpansionVariant.LOWER
-    if given is not None and given.variant is want:
-        return given
-    return expand(frac, want)
+        return ExpansionVariant.UPPER
+    if frac <= 0:
+        raise SideError("no left-side limit at parameter 0")
+    return ExpansionVariant.LOWER
 
 
 def direction_at(s: Union[Expansion, RationalLike], side: Side = Side.RIGHT,
                  tol: Union[float, Fraction] = Fraction(1, 10 ** 9)) -> ProjDir:
     """One-sided direction chart within tol, by iterating the projective maps."""
-    e = _expansion_for(s, side)
-    tol = Fraction(tol)
-    n = _iterations_for(tol)
-    chart = _moebius(projective_word_matrix(e.bits(n)), Fraction(0))
+    given = isinstance(s, Expansion)
+    frac = s.value() if given else Fraction(s)
+    variant = _side_variant(frac, side)
+    n = _iterations_for(Fraction(tol))
+    bits = s.bits(n) if given and s.variant is variant else _prefix_bits(frac, n, variant)
+    chart = _moebius(projective_word_matrix(bits), Fraction(0))
     err = CHART_DIAMETER * CONTRACTION_FACTOR ** n
-    return ProjDir(chart=chart, exact=False, error=err, source=e, side=side)
+    return ProjDir(chart=chart, exact=False, error=err, source=s if given else frac, side=side)
 
 
 def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadDir:
@@ -167,7 +161,7 @@ def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadD
         raise ValueError(f"{frac} is outside [0,1]")
     if side is None:
         side = Side.RIGHT if frac < 1 else Side.LEFT
-    e = _expansion_for(frac, side)
+    e = expand(frac, _side_variant(frac, side))
     (p, q), (r, s) = projective_word_matrix(e.period)
     if r == 0:
         if p == s:

@@ -1,15 +1,31 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from sgharm.cli import CURVE_LEVEL_CAP, main
-from sgharm.harmonic import curve_point_dyadic
+import sgharm
+import sgharm.cli
+import sgharm.exact
+import sgharm.tangent
+from sgharm.cli import CURVE_LEVEL_CAP, EVAL_TERMS_CAP, main
+from sgharm.exact import Expansion, expand, generator_matrix
+from sgharm.harmonic import (
+    CENTROID,
+    FORM_PRESETS,
+    LinearForm,
+    approx_error_bound,
+    curve_point,
+    curve_point_dyadic,
+    form_value,
+)
 from sgharm.holder import holder_exponent
-from sgharm.tangent import direction_at_rational
+from sgharm.tangent import Side, apply_projective, direction_at, direction_at_rational, kernel_test
 
 
 def run(capsys, *argv):
@@ -55,6 +71,100 @@ def test_eval_parse_and_domain_errors(capsys):
 def test_bad_usage_exits_2(capsys):
     assert run(capsys, "eval")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+
+
+def test_eval_terms_cap(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("eval worked past the cap")
+
+    code, out, _ = run(capsys, "eval", "1/3", "-n", str(EVAL_TERMS_CAP), "--format", "json")
+    assert code == 0 and json.loads(out)["error_bound"] == 5e-324
+    monkeypatch.setattr(sgharm.cli, "truncated_curve_value", no_work)
+    monkeypatch.setattr(sgharm.cli, "curve_point_dyadic", no_work)
+    for s in ("1/3", "1/2"):
+        code, _, err = run(capsys, "eval", s, "-n", str(EVAL_TERMS_CAP + 1))
+        assert code == 3 and f"exceeds the cap {EVAL_TERMS_CAP}" in err
+
+
+M61 = Fraction(1, 2 ** 61 - 1)
+M61_PERIOD = "0" * 60 + "1"
+
+
+def _curve_from_bits(bits):
+    """Image of the centroid under the letters, one Fraction matrix at a time."""
+    v = CENTROID
+    for ch in reversed(bits):
+        v = generator_matrix(ch).apply(v)
+    return v
+
+
+def test_approximate_paths_never_compute_the_order(capsys, monkeypatch):
+    def no_order(m):
+        raise AssertionError(f"order of 2 mod {m} computed")
+
+    s = Fraction(5, 900019)
+    near = direction_at(s, tol=Fraction(1, 10 ** 18)).chart
+    # a form whose kernel lies within 1e-18 of the direction at s, so that the
+    # kernel test has to refine the direction from ProjDir.source
+    close = LinearForm.of(0, 2, 1 - 1 / near)
+    monkeypatch.setattr(sgharm.exact, "_mult_order_2", no_order)
+    with pytest.raises(AssertionError):
+        expand(s)
+    refinements = []
+
+    def counted(*args, **kwargs):
+        refinements.append(args[0])
+        return direction_at(*args, **kwargs)
+
+    monkeypatch.setattr(sgharm.tangent, "direction_at", counted)
+    for x in (s, M61, Fraction(2, 3), Fraction(1)):
+        curve_point(x)
+        for form in FORM_PRESETS.values():
+            form_value(form, x)
+    for side in Side:
+        pd = direction_at(s, side)
+        assert pd.source == s and isinstance(pd.source, Fraction)
+        for form in FORM_PRESETS.values():
+            kernel_test(form, pd)
+    kernel_test(close, direction_at(s))
+    assert refinements and set(refinements) == {s}
+    code, out, _ = run(capsys, "eval", str(M61), "-n", "130", "--format", "json")
+    want = _curve_from_bits(Expansion("", M61_PERIOD).bits(130))
+    assert code == 0 and json.loads(out)["value"] == list(want.floats())
+    for argv in (["eval", str(s)], ["eval", str(s), "--format", "json"],
+                 ["direction", str(s)], ["direction", str(s), "--side", "left"]):
+        assert run(capsys, *argv)[0] == 0, argv
+
+
+def _cli_subprocess(*argv):
+    src = str(Path(sgharm.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-m", "sgharm.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_eval_and_direction_at_huge_denominators():
+    data = json.loads(_cli_subprocess("eval", str(M61), "--format", "json"))
+    bits = Expansion("", M61_PERIOD).bits(48)
+    assert data == {"s": str(M61), "exact": False,
+                    "value": list(_curve_from_bits(bits).floats()),
+                    "error_bound": approx_error_bound(48), "terms": 48}
+
+    data = json.loads(_cli_subprocess("direction", str(M61)))
+    n, err = 0, Fraction(2, 3)
+    while err > Fraction(1, 10 ** 9):
+        n, err = n + 1, err * 3 / 4
+    assert data["chart"] == float(apply_projective(Expansion("", M61_PERIOD).bits(n), 0))
+    assert data["error_bound"] == float(err) and not data["exact"]
+
+    # the denominator is 2**100 + 277, so the first 100 letters are zeros
+    s = "1/1267650600228229401496703205653"
+    want = _curve_from_bits("0" * 48).floats()
+    assert _cli_subprocess("eval", s).strip() == (
+        " ".join(f"{c:.6g}" for c in want) + f"  error<={approx_error_bound(48):.3g}")
 
 
 # ---------------------------------------------------------------------------

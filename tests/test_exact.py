@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sgharm.exact import (
     CHART_BASIS,
@@ -39,6 +40,7 @@ from sgharm.exact import (
     transition_density,
     word_product,
     _mult_order_2,
+    _prefix_bits,
 )
 
 UPPER = ExpansionVariant.UPPER
@@ -360,6 +362,40 @@ def test_expand_round_trip_large():
             e = expand(s, variant)
             assert e.value() == s
             assert expand(e.value(), variant) == e
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _check_prefix(s, variant, lengths):
+    """_prefix_bits against expand(...).bits and against the definition."""
+    e = _outcome(expand, s, variant)
+    for n in lengths:
+        got = _outcome(_prefix_bits, s, n, variant)
+        assert got == (e.bits(n) if isinstance(e, Expansion) else e), (s, n, variant)
+        if isinstance(got, str):
+            # upper: k <= s * 2**n < k + 1; lower: k < s * 2**n <= k + 1
+            k, x = int(got, 2) if n else 0, s * 2 ** n
+            assert len(got) == n
+            assert (k <= x < k + 1) if variant is UPPER else (k < x <= k + 1), (s, n, variant)
+
+
+def test_prefix_bits_matches_expand():
+    for q in range(1, 130):
+        for p in range(-1, q + 2):
+            for variant in (UPPER, LOWER):
+                _check_prefix(Fraction(p, q), variant, (0, 1, 7, 48, 100))
+
+
+@given(st.integers(1, 10 ** 5 - 1).flatmap(
+           lambda q: st.builds(Fraction, st.integers(0, q), st.just(q))),
+       st.sampled_from(ExpansionVariant), st.integers(0, 400))
+def test_prefix_bits_property(s, variant, n):
+    _check_prefix(s, variant, (n,))
 
 
 def test_mult_order_2_against_sympy():

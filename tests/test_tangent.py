@@ -8,17 +8,20 @@ import sgharm.tangent
 from sgharm.exact import (
     CHART_BASIS,
     Expansion,
+    ExpansionVariant,
     MAJOR_EIGVEC_0,
     MAJOR_EIGVEC_1,
     MINOR_EIGVEC_0,
     MINOR_EIGVEC_1,
     QuadraticValue,
+    expand,
+    expand_auto,
     generator_matrix,
     quad_sign,
     restrict_to_plane,
     word_product,
 )
-from sgharm.harmonic import FORM_PRESETS, LinearForm
+from sgharm.harmonic import FORM_PRESETS, LinearForm, curve_point
 from sgharm.tangent import (
     CHART_DECREASES,
     CHART_HI,
@@ -292,6 +295,20 @@ def test_exact_matches_iterative():
         diff_sign_hi = quad_sign(p - (pd.chart + pd.error), q, qd.chart.d)
         diff_sign_lo = quad_sign(p - (pd.chart - pd.error), q, qd.chart.d)
         assert diff_sign_hi <= 0 <= diff_sign_lo
+
+
+def test_rational_and_expansion_arguments_agree():
+    # a rational is read by long division, an Expansion by its own letters;
+    # at dyadics the left side must read the expansion ending in ones
+    sides = ((Side.RIGHT, ExpansionVariant.UPPER), (Side.LEFT, ExpansionVariant.LOWER))
+    for s in sorted({Fraction(p, q) for q in range(1, 33) for p in range(q + 1)}):
+        assert curve_point(s, 20) == curve_point(expand_auto(s), 20)
+        for side, variant in sides:
+            if (side is Side.RIGHT and s == 1) or (side is Side.LEFT and s == 0):
+                continue
+            got = direction_at(s, side, tol=Fraction(1, 10 ** 6))
+            want = direction_at(expand(s, variant), side, tol=Fraction(1, 10 ** 6))
+            assert (got.chart, got.error) == (want.chart, want.error), (s, side)
 
 
 def test_two_sides_agree_at_nondyadic():
