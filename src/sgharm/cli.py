@@ -77,6 +77,11 @@ REFERENCE_ROWS = (
 CURVE_LEVEL_CAP = 16
 # `eval --terms`: the error bound 2 * (3/5)**terms reaches its floor 5e-324 near 1460
 EVAL_TERMS_CAP = 4096
+# `experiment lyapunov`: the slowest accepted run, 2**16 bits x 16 trials, takes
+# about 1 s end to end; each trial also costs about 5 us however short it is
+LYAPUNOV_BITS_CAP = 2 ** 16
+LYAPUNOV_TRIALS_CAP = 2 ** 16
+LYAPUNOV_LETTERS_CAP = 2 ** 20  # bits x trials
 
 
 class CliInputError(ValueError):
@@ -255,6 +260,8 @@ def cmd_direction(args) -> int:
             "unit_vector": list(direction_vector(qd)),
         })
     else:
+        if args.tol is not None and not math.isfinite(args.tol):
+            raise CliDomainError(f"tolerance must be finite, got {args.tol}")
         tol = Fraction(args.tol) if args.tol is not None else Fraction(1, 10 ** 9)
         pd = direction_at(s, side, tol=tol)
         out.update({
@@ -330,6 +337,13 @@ def cmd_experiment(args) -> int:
                      for w, a, flag in rows],
         }))
     else:
+        if args.bits > LYAPUNOV_BITS_CAP:
+            raise CliDomainError(f"bits {args.bits} exceeds the cap {LYAPUNOV_BITS_CAP}")
+        if args.trials > LYAPUNOV_TRIALS_CAP:
+            raise CliDomainError(f"trials {args.trials} exceeds the cap {LYAPUNOV_TRIALS_CAP}")
+        if args.bits > 0 and args.bits * args.trials > LYAPUNOV_LETTERS_CAP:
+            raise CliDomainError(f"bits x trials {args.bits * args.trials} exceeds the cap "
+                                 f"{LYAPUNOV_LETTERS_CAP}")
         _emit(json.dumps({"experiment": "lyapunov",
                           **lyapunov_sample(args.bits, args.trials, args.seed)}))
     return 0

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
 from typing import Iterator, Optional, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -269,17 +268,47 @@ def restrict_to_plane(m: ScaledIntMat3, basis: PlaneBasis = PlaneBasis.EDGE) -> 
     return ScaledIntMat2(rows, m.pow5, 1, PlaneBasis.CHART)
 
 
-# The two half-side generators on the plane: entries over 5 (edge), 10 (chart).
-_EDGE_GEN = {c: restrict_to_plane(_GEN3[c], PlaneBasis.EDGE).entries for c in "01"}
-_CHART_GEN = {c: restrict_to_plane(_GEN3[c], PlaneBasis.CHART).entries for c in "01"}
+# Leaf length of the product tree in _fold2.
+_LEAF = 6
+
+
+def _word_table(basis: PlaneBasis) -> dict[str, Mat2i]:
+    """Integer products of the two half-side generators on the plane (entries
+    over 5 per letter in the edge basis, 10 in the chart basis) for every 0/1
+    word of 1 to _LEAF letters."""
+    table = {c: restrict_to_plane(_GEN3[c], basis).entries for c in "01"}
+    words = list(table)
+    for _ in range(_LEAF - 1):
+        words = [w + c for w in words for c in "01"]
+        table.update({w: _mul2(table[w[:-1]], table[w[-1]]) for w in words})
+    return table
+
+
+_EDGE_GEN = _word_table(PlaneBasis.EDGE)
+_CHART_GEN = _word_table(PlaneBasis.CHART)
 
 
 def _fold2(word: str, gens) -> Mat2i:
-    """Left-to-right integer product of the 2x2 generators named by a 0/1 word."""
+    """Left-to-right integer product of the 2x2 generators named by a 0/1 word.
+
+    A depth-first balanced product tree over table leaves of up to _LEAF
+    letters: the large multiplications pair operands of equal size, where
+    Karatsuba pays off, so the cost is subquadratic in the length.
+    """
+    def tree(lo: int, hi: int) -> Mat2i:
+        if hi - lo <= _LEAF:
+            return gens[word[lo:hi]]
+        # the left half takes half the leaves, so only the last leaf is short
+        mid = lo + (hi - lo + _LEAF - 1) // _LEAF // 2 * _LEAF
+        return _mul2(tree(lo, mid), tree(mid, hi))
+
+    if not word:
+        return ((1, 0), (0, 1))
     try:
-        return reduce(_mul2, map(gens.__getitem__, word), ((1, 0), (0, 1)))
-    except KeyError as exc:
-        raise ValueError(f"word letter must be 0 or 1, got {exc.args[0]!r}") from None
+        return tree(0, len(word))
+    except KeyError:
+        bad = next(c for c in word if c not in "01")
+        raise ValueError(f"word letter must be 0 or 1, got {bad!r}") from None
 
 
 def edge_word_matrix(word: str) -> ScaledIntMat2:
@@ -437,6 +466,8 @@ class Expansion:
         return Fraction(head + tail, 1 << k)
 
     def bits(self, n: int) -> str:
+        if n < 0:
+            raise ValueError(f"bit count must be nonnegative, got {n}")
         if n <= len(self.preperiod):
             return self.preperiod[:n]
         rest = n - len(self.preperiod)
@@ -444,6 +475,8 @@ class Expansion:
         return self.preperiod + (self.period * reps)[:rest]
 
     def bit(self, i: int) -> int:
+        if i < 0:
+            raise ValueError(f"bit index must be nonnegative, got {i}")
         if i < len(self.preperiod):
             return int(self.preperiod[i])
         return int(self.period[(i - len(self.preperiod)) % len(self.period)])

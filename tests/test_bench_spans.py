@@ -1,0 +1,47 @@
+"""The traced benchmark run wraps library names by getattr: each must exist,
+and uninstalling the wrappers must put every original object back."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("spans")
+
+
+def _namespaces(spans):
+    owners = {id(o): o for o in spans.MODULES}
+    owners.update({id(o): o for o, *_ in spans.TARGETS if isinstance(o, type)})
+    return list(owners.values())
+
+
+def test_every_target_resolves(spans):
+    for owner, attr, name, _ in spans.TARGETS:
+        assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
+
+
+def test_install_then_uninstall_restores_every_object(spans):
+    import sgharm.exact
+
+    namespaces = _namespaces(spans)
+    before = [dict(vars(ns)) for ns in namespaces]
+    original = sgharm.exact.edge_word_matrix
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert sgharm.exact.edge_word_matrix is not original
+        assert sgharm.exact.edge_word_matrix.__wrapped__ is original
+        assert sgharm.exact.edge_word_matrix("0110").pow5 == 4
+        assert tracer.counts["exact.fold_letters"] == 4
+    finally:
+        tracer.uninstall()
+    for ns, saved in zip(namespaces, before):
+        after = vars(ns)
+        assert after.keys() == saved.keys(), ns
+        assert all(after[k] is v for k, v in saved.items()), ns

@@ -13,7 +13,14 @@ import sgharm
 import sgharm.cli
 import sgharm.exact
 import sgharm.tangent
-from sgharm.cli import CURVE_LEVEL_CAP, EVAL_TERMS_CAP, main
+from sgharm.cli import (
+    CURVE_LEVEL_CAP,
+    EVAL_TERMS_CAP,
+    LYAPUNOV_BITS_CAP,
+    LYAPUNOV_LETTERS_CAP,
+    LYAPUNOV_TRIALS_CAP,
+    main,
+)
 from sgharm.exact import Expansion, expand, generator_matrix
 from sgharm.harmonic import (
     CENTROID,
@@ -136,12 +143,16 @@ def test_approximate_paths_never_compute_the_order(capsys, monkeypatch):
         assert run(capsys, *argv)[0] == 0, argv
 
 
-def _cli_subprocess(*argv):
+def _cli_process(*argv):
     src = str(Path(sgharm.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-    proc = subprocess.run([sys.executable, "-m", "sgharm.cli", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "sgharm.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=30)
+
+
+def _cli_subprocess(*argv):
+    proc = _cli_process(*argv)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -384,6 +395,14 @@ def test_direction_side_error(capsys):
     assert run(capsys, "direction", "0", "--side", "left")[0] == 3
 
 
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
+def test_direction_nonfinite_tolerance(tol):
+    # in a subprocess, so that an uncaught exception's traceback would show
+    proc = _cli_process("direction", "1/3", f"--tol={tol}")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == f"error: tolerance must be finite, got {tol}\n"
+
+
 # ---------------------------------------------------------------------------
 # render
 
@@ -488,6 +507,29 @@ def test_experiment_lyapunov_reproducible(capsys):
     assert a == b and a[0] == 0
     data = json.loads(a[1])
     assert data["trials"] == 8 and data["seed"] == 7
+
+
+def test_experiment_lyapunov_caps(capsys, monkeypatch):
+    code, out, err = run(capsys, "experiment", "lyapunov", "--bits", "-70000", "--trials", "-70000")
+    assert code == 3 and out == "" and "must be >= 1" in err
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("lyapunov did work above the cap")
+
+    monkeypatch.setattr(sgharm.cli, "lyapunov_sample", no_work)
+    for bits, trials, cap in ((LYAPUNOV_BITS_CAP + 1, 1, LYAPUNOV_BITS_CAP),
+                              (1, LYAPUNOV_TRIALS_CAP + 1, LYAPUNOV_TRIALS_CAP),
+                              (LYAPUNOV_BITS_CAP, LYAPUNOV_LETTERS_CAP // LYAPUNOV_BITS_CAP + 1,
+                               LYAPUNOV_LETTERS_CAP)):
+        code, out, err = run(capsys, "experiment", "lyapunov",
+                             "--bits", str(bits), "--trials", str(trials))
+        assert code == 3 and out == "" and f"exceeds the cap {cap}" in err, (bits, trials)
+
+
+def test_experiment_lyapunov_default_is_within_the_caps():
+    args = sgharm.cli.build_parser().parse_args(["experiment", "lyapunov"])
+    assert args.bits <= LYAPUNOV_BITS_CAP and args.trials <= LYAPUNOV_TRIALS_CAP
+    assert args.bits * args.trials <= LYAPUNOV_LETTERS_CAP
 
 
 def test_experiment_unknown_name(capsys):

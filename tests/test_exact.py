@@ -318,6 +318,16 @@ def test_expansion_validation():
             assert accepted == primitive, word
 
 
+def test_expansion_negative_positions_rejected():
+    e = Expansion("10", "01")
+    assert e.bits(0) == "" and e.bits(5) == "10010" and e.bit(0) == 1
+    for n in (-1, -2, -7):
+        with pytest.raises(ValueError, match="bit count must be nonnegative"):
+            e.bits(n)
+        with pytest.raises(ValueError, match="bit index must be nonnegative"):
+            e.bit(n)
+
+
 def test_expansion_serialization_round_trip():
     e = expand(Fraction(11, 24))
     assert str(e) == f"0.{e.preperiod}({e.period})"
