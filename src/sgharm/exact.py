@@ -272,11 +272,10 @@ def restrict_to_plane(m: ScaledIntMat3, basis: PlaneBasis = PlaneBasis.EDGE) -> 
 _LEAF = 6
 
 
-def _word_table(basis: PlaneBasis) -> dict[str, Mat2i]:
-    """Integer products of the two half-side generators on the plane (entries
-    over 5 per letter in the edge basis, 10 in the chart basis) for every 0/1
-    word of 1 to _LEAF letters."""
-    table = {c: restrict_to_plane(_GEN3[c], basis).entries for c in "01"}
+def _word_table() -> dict[str, Mat2i]:
+    """Integer edge-basis products of the two half-side generators on the plane
+    (entries over 5 per letter) for every 0/1 word of 1 to _LEAF letters."""
+    table = {c: restrict_to_plane(_GEN3[c]).entries for c in "01"}
     words = list(table)
     for _ in range(_LEAF - 1):
         words = [w + c for w in words for c in "01"]
@@ -284,12 +283,12 @@ def _word_table(basis: PlaneBasis) -> dict[str, Mat2i]:
     return table
 
 
-_EDGE_GEN = _word_table(PlaneBasis.EDGE)
-_CHART_GEN = _word_table(PlaneBasis.CHART)
+_EDGE_GEN = _word_table()
 
 
-def _fold2(word: str, gens) -> Mat2i:
-    """Left-to-right integer product of the 2x2 generators named by a 0/1 word.
+def _fold2(word: str) -> Mat2i:
+    """Left-to-right integer edge-basis product of the 2x2 generators named by
+    a 0/1 word (entries over 5 per letter).
 
     A depth-first balanced product tree over table leaves of up to _LEAF
     letters: the large multiplications pair operands of equal size, where
@@ -297,7 +296,7 @@ def _fold2(word: str, gens) -> Mat2i:
     """
     def tree(lo: int, hi: int) -> Mat2i:
         if hi - lo <= _LEAF:
-            return gens[word[lo:hi]]
+            return _EDGE_GEN[word[lo:hi]]
         # the left half takes half the leaves, so only the last leaf is short
         mid = lo + (hi - lo + _LEAF - 1) // _LEAF // 2 * _LEAF
         return _mul2(tree(lo, mid), tree(mid, hi))
@@ -313,12 +312,29 @@ def _fold2(word: str, gens) -> Mat2i:
 
 def edge_word_matrix(word: str) -> ScaledIntMat2:
     """Plane restriction of a binary word product, computed directly in 2x2."""
-    return ScaledIntMat2(_fold2(word, _EDGE_GEN), len(word), 0, PlaneBasis.EDGE)
+    return ScaledIntMat2(_fold2(word), len(word), 0, PlaneBasis.EDGE)
+
+
+# The chart pair is the edge pair times Q = ((-1, -1), (-2, 0)), and a chart
+# letter is 2 * Q**-1 @ (edge letter) @ Q, so a word of n >= 1 letters has the
+# chart product (_TO_CHART @ E @ _FROM_CHART) << (n - 1) for its edge product E.
+_TO_CHART = ((0, -1), (-2, 1))    # 2 * Q**-1
+_FROM_CHART = ((-1, -1), (-2, 0))  # Q
+
+
+def _chart_fold(word: str) -> Mat2i:
+    """Integer chart-basis product of a 0/1 word (entries over 10 per letter),
+    conjugated from the edge fold, whose entries are about half as long."""
+    if not word:
+        return ((1, 0), (0, 1))
+    (a, b), (c, d) = _mul2(_mul2(_TO_CHART, _fold2(word)), _FROM_CHART)
+    k = len(word) - 1
+    return ((a << k, b << k), (c << k, d << k))
 
 
 def chart_word_matrix(word: str) -> ScaledIntMat2:
     """Chart-basis restriction of a binary word product."""
-    return ScaledIntMat2(_fold2(word, _CHART_GEN), len(word), len(word), PlaneBasis.CHART)
+    return ScaledIntMat2(_chart_fold(word), len(word), len(word), PlaneBasis.CHART)
 
 
 # ---------------------------------------------------------------------------

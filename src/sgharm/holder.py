@@ -17,8 +17,6 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
-from mpmath import iv, mp
-
 from .exact import (
     Expansion,
     QuadraticValue,
@@ -65,11 +63,16 @@ class HolderReport:
     period: str
     period_length: int
     scaled_trace: int
-    top_eigenvalue: QuadraticValue
     alpha: float
     alpha_lo: float
     alpha_hi: float
     derivative_class: DerivativeClass
+
+    @property
+    def top_eigenvalue(self) -> QuadraticValue:
+        """Dominant eigenvalue of the period's restriction, built when read."""
+        t, n = self.scaled_trace, self.period_length
+        return QuadraticValue(Fraction(t, 5 ** n), Fraction(t * t - 4 * 3 ** n, 25 ** n))
 
     @property
     def enclosure_width(self) -> float:
@@ -108,24 +111,37 @@ class EstimateTrace:
         return self.points[-1][1]
 
 
-def _iv_fraction(f: Fraction):
-    return iv.mpf(f.numerator) / iv.mpf(f.denominator)
+def _over_power_of_5(x: int, k: int) -> tuple[int, int]:
+    """x / 5**k in lowest terms, as (numerator, exponent of the denominator):
+    the same integers as Fraction's, without a gcd."""
+    while k and x % 5 == 0:
+        x //= 5
+        k -= 1
+    return x, k
 
 
-def alpha_enclosure(T: Fraction, disc: Fraction, n: int,
-                    width: float = 1e-12, exclude_one: bool = True) -> tuple[float, float]:
-    """Certified float enclosure of ln(lam)/(n ln 1/2) for lam = (T+sqrt(disc))/2.
+def alpha_enclosure(t: int, n: int, width: float = 1e-12,
+                    exclude_one: bool = True) -> tuple[float, float]:
+    """Certified float enclosure of ln(lam)/(n ln 1/2) for the dominant
+    eigenvalue lam = (t + sqrt(t*t - 4*3**n)) / (2*5**n) of an n-letter
+    period with scaled trace t.
 
     Precision is doubled until the enclosure is narrower than `width` and,
     when requested, separated from 1 (always possible: the exponent of a
     rational parameter is never 1).
     """
+    from mpmath import iv, mp  # only the exponent commands pay for the import
+
+    # the trace t/5**n and the discriminant over 25**n in lowest terms
+    tn, tk = _over_power_of_5(t, n)
+    dn, dk = _over_power_of_5(t * t - 4 * 3 ** n, 2 * n)
     prec = 64
     while True:
         saved = iv.prec
         try:
             iv.prec = prec
-            lam = (_iv_fraction(T) + iv.sqrt(_iv_fraction(disc))) / 2
+            trace = iv.mpf(tn) / iv.mpf(5 ** tk)
+            lam = (trace + iv.sqrt(iv.mpf(dn) / iv.mpf(5 ** dk))) / 2
             ok = lam.a > 0
             if ok:
                 alpha = iv.log(lam) / (n * iv.log(iv.mpf(0.5)))
@@ -161,11 +177,6 @@ def _derivative_class(sign: int) -> DerivativeClass:
     return DerivativeClass.ZERO if sign < 0 else DerivativeClass.INFINITE
 
 
-def _eigen_data(t: int, n: int) -> tuple[Fraction, Fraction]:
-    """Trace and discriminant of the period's restriction as fractions."""
-    return Fraction(t, 5 ** n), Fraction(t * t - 4 * 3 ** n, 25 ** n)
-
-
 def holder_exponent(s: RationalLike, width: float = 1e-12) -> HolderReport:
     """Exact exponent report at a rational parameter in [0,1].
 
@@ -176,11 +187,9 @@ def holder_exponent(s: RationalLike, width: float = 1e-12) -> HolderReport:
     e = expand_auto(frac)
     n = len(e.period)
     t, sign = _period_sign(e.period)
-    T, disc = _eigen_data(t, n)
-    lo, hi = alpha_enclosure(T, disc, n, width=width, exclude_one=True)
+    lo, hi = alpha_enclosure(t, n, width=width, exclude_one=True)
     return HolderReport(
-        s=frac, expansion=e, period=e.period, period_length=n,
-        scaled_trace=t, top_eigenvalue=QuadraticValue(T, disc),
+        s=frac, expansion=e, period=e.period, period_length=n, scaled_trace=t,
         alpha=0.5 * (lo + hi), alpha_lo=lo, alpha_hi=hi,
         derivative_class=_derivative_class(sign),
     )
@@ -246,13 +255,13 @@ def estimate_at_bits(preperiod: str, period: str, nbits: int,
     if set(preperiod + period) - {"0", "1"} or not period:
         raise ValueError("words must be over {0,1} with a nonempty period")
     head = preperiod[:nbits]
-    m = _fold2(head, _EDGE_GEN)
+    m = _fold2(head)
     rest = nbits - len(head)
     if rest:
         per = edge_word_matrix(period).entries
         q, r = divmod(rest, len(period))
         m = _mul2(m, _mat_power(per, q))
-        m = _mul2(m, _fold2(period[:r], _EDGE_GEN))
+        m = _mul2(m, _fold2(period[:r]))
     return _estimate(m, nbits, norm)
 
 
@@ -351,7 +360,7 @@ def maxrun_experiment(max_len: int) -> list[tuple[str, float, bool]]:
             if max_cyclic_run(word) > 2:
                 continue
             t, sign = _period_sign(word)
-            lo, hi = alpha_enclosure(*_eigen_data(t, length), length)
+            lo, hi = alpha_enclosure(t, length)
             rows.append((word, 0.5 * (lo + hi), _derivative_class(sign) is DerivativeClass.ZERO))
     return rows
 
@@ -368,7 +377,7 @@ def lyapunov_sample(nbits: int, trials: int, seed: int) -> dict:
     estimates = []
     for _ in range(trials):
         bits = format(rng.getrandbits(nbits), f"0{nbits}b")
-        estimates.append(_estimate(_fold2(bits, _EDGE_GEN), nbits, "fro"))
+        estimates.append(_estimate(_fold2(bits), nbits, "fro"))
     above = sum(e > 1.0 for e in estimates)
     return {
         "nbits": nbits,

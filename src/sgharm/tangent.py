@@ -26,8 +26,7 @@ from .exact import (
     Vec3Q,
     expand,
     quad_sign,
-    _CHART_GEN,
-    _fold2,
+    _chart_fold,
     _prefix_bits,
 )
 from .harmonic import LinearForm
@@ -96,7 +95,7 @@ def projective_word_matrix(word: str) -> Mat2i:
 
     Only the projective action is used, so the scale 10**len(word) is dropped.
     """
-    return _fold2(word, _CHART_GEN)
+    return _chart_fold(word)
 
 
 def _moebius(m: Mat2i, x: Fraction) -> Fraction:
@@ -112,16 +111,28 @@ def apply_projective(word: str, chart: Fraction) -> Fraction:
     return _moebius(projective_word_matrix(word), Fraction(chart))
 
 
+_MAX_ITERATIONS = 20000
+
+
 def _iterations_for(tol: Fraction) -> int:
+    """Least n with CHART_DIAMETER * CONTRACTION_FACTOR**n <= tol."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    n = 0
-    cur = CHART_DIAMETER
-    while cur > tol:
-        cur = cur * 3 / 4
+    a, b = tol.numerator, tol.denominator
+
+    def within(n: int) -> bool:  # (2/3) * (3/4)**n <= a/b
+        return 2 * 3 ** n * b <= 3 * 4 ** n * a
+
+    # a float estimate of the logarithms, then exact steps to the least n;
+    # the logarithms are taken apart because a tiny tol underflows as a float
+    est = (math.log(a) - math.log(b) - math.log(2 / 3)) / math.log(3 / 4)
+    n = min(max(math.ceil(est), 0), _MAX_ITERATIONS + 1)
+    while n > 0 and within(n - 1):
+        n -= 1
+    while n <= _MAX_ITERATIONS and not within(n):
         n += 1
-        if n > 20000:
-            raise ValueError("tolerance is unreasonably small")
+    if n > _MAX_ITERATIONS:
+        raise ValueError("tolerance is unreasonably small")
     return n
 
 
@@ -149,6 +160,13 @@ def direction_at(s: Union[Expansion, RationalLike], side: Side = Side.RIGHT,
     return ProjDir(chart=chart, exact=False, error=err, source=s if given else frac, side=side)
 
 
+def _unscaled(m: Mat2i, n: int) -> Mat2i:
+    """The chart product of an n-letter word (n >= 1) divided by 2**(n - 1)."""
+    (a, b), (c, d) = m
+    k = n - 1
+    return ((a >> k, b >> k), (c >> k, d >> k))
+
+
 def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadDir:
     """Exact one-sided direction at a rational parameter.
 
@@ -162,7 +180,9 @@ def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadD
     if side is None:
         side = Side.RIGHT if frac < 1 else Side.LEFT
     e = expand(frac, _side_variant(frac, side))
-    (p, q), (r, s) = projective_word_matrix(e.period)
+    # the charts are invariant under a positive scale, so each product drops
+    # its factor 2**(len - 1) and the integers below are about half as long
+    (p, q), (r, s) = _unscaled(projective_word_matrix(e.period), len(e.period))
     if r == 0:
         if p == s:
             raise ValueError("projective map is the identity")
@@ -181,7 +201,7 @@ def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadD
             raise ValueError("expected exactly one fixed point in the chart interval")
         w, = inside
     if e.preperiod:
-        (a, b), (c, d) = projective_word_matrix(e.preperiod)
+        (a, b), (c, d) = _unscaled(projective_word_matrix(e.preperiod), len(e.preperiod))
         n0, n1, d0, d1 = a * u + b * R, a * w, c * u + d * R, c * w
         norm = d0 * d0 - d1 * d1 * D
         if norm == 0:

@@ -143,12 +143,16 @@ def test_approximate_paths_never_compute_the_order(capsys, monkeypatch):
         assert run(capsys, *argv)[0] == 0, argv
 
 
-def _cli_process(*argv):
+def _python_process(*argv):
     src = str(Path(sgharm.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-    return subprocess.run([sys.executable, "-m", "sgharm.cli", *argv], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=30)
+
+
+def _cli_process(*argv):
+    return _python_process("-m", "sgharm.cli", *argv)
 
 
 def _cli_subprocess(*argv):
@@ -180,6 +184,23 @@ def test_eval_and_direction_at_huge_denominators():
 
 # ---------------------------------------------------------------------------
 # exponent and classify
+
+
+def test_mpmath_is_imported_only_for_exponents():
+    script = "\n".join([
+        "import sys",
+        "from sgharm.cli import main",
+        "assert main(['eval', '1/3']) == 0",
+        "assert main(['direction', '1/3', '--exact']) == 0",
+        "assert main(['classify', '1/3', 'phi']) == 0",
+        "assert main(['experiment', 'lyapunov', '--bits', '64', '--trials', '2']) == 0",
+        "assert 'mpmath' not in sys.modules",
+        "assert main(['exponent', '1/3']) == 0",
+        "assert 'mpmath' in sys.modules",
+    ])
+    proc = _python_process("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert "alpha=1.11855" in proc.stdout.splitlines()[-1]
 
 
 def test_exponent_text(capsys):
@@ -312,6 +333,29 @@ def test_golden_outputs_unchanged(capsys):
             lines.append(out)
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+# periods of 20028, 20028 (after 2 letters) and 50020 (after 5 letters)
+LONG_GOLDEN_PARAMETERS = ["1/20029", "12345/80116", "7/1600672"]
+
+# sha256 of the JSON lines below, as written while the chart products were
+# folded from their own letter table and the eigenvalue data were Fractions
+LONG_GOLDEN_SHA256 = "9d7f3edcfc0537c782644e6b8d3974ffde97e88c56c1f8c23313b5ffb45fdcc5"
+
+
+def test_golden_outputs_at_long_periods_unchanged(capsys):
+    lines = []
+    for s in LONG_GOLDEN_PARAMETERS:
+        commands = [("exponent", s, "--format", "json")]
+        commands += [("direction", s, "--exact", "--side", side) for side in ("right", "left")]
+        commands += [("classify", s, form, "--format", "json")
+                     for form in ("phi", "psi", "chi", "xi")]
+        for argv in commands:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out.count("\n") == 1, argv
+            lines.append(out)
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == LONG_GOLDEN_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""The product-tree word fold against a left fold, one letter at a time."""
+"""The product-tree word fold, and the chart products conjugated from it,
+against left folds over single letters."""
 
 import random
 from fractions import Fraction
@@ -16,18 +17,18 @@ from sgharm.exact import (
     expand,
     generator_matrix,
     restrict_to_plane,
-    _CHART_GEN,
     _EDGE_GEN,
+    _FROM_CHART,
     _LEAF,
+    _TO_CHART,
     _fold2,
 )
 from sgharm.holder import _period_sign
-from sgharm.tangent import direction_at_rational
+from sgharm.tangent import direction_at_rational, projective_word_matrix
 
 IDENTITY = ((1, 0), (0, 1))
-TABLES = {PlaneBasis.EDGE: _EDGE_GEN, PlaneBasis.CHART: _CHART_GEN}
 LETTERS = {basis: {c: restrict_to_plane(generator_matrix(c), basis).entries for c in "01"}
-           for basis in TABLES}
+           for basis in PlaneBasis}
 
 
 def mul(a, b):
@@ -36,10 +37,18 @@ def mul(a, b):
     return ((p * e + q * g, p * f + q * h), (r * e + s * g, r * f + s * h))
 
 
-def reference_fold(word, gens):
+def reference_fold(word, basis=PlaneBasis.EDGE):
     """The product as a left fold over single letters."""
-    basis = next(b for b, table in TABLES.items() if table is gens)
     return reduce(mul, map(LETTERS[basis].__getitem__, word), IDENTITY)
+
+
+def assert_folds(word):
+    """Edge fold, chart matrix and projective matrix of a word against the
+    left folds over the edge and the chart letters."""
+    assert _fold2(word) == reference_fold(word), word
+    chart = reference_fold(word, PlaneBasis.CHART)
+    assert chart_word_matrix(word).entries == chart, word
+    assert projective_word_matrix(word) == chart, word
 
 
 def seeded_word(rng, n):
@@ -47,43 +56,49 @@ def seeded_word(rng, n):
 
 
 def test_tables_hold_every_short_word():
-    for basis, table in TABLES.items():
-        assert len(table) == 2 ** (_LEAF + 1) - 2
-        for n in range(1, _LEAF + 1):
-            for letters in product("01", repeat=n):
-                word = "".join(letters)
-                assert table[word] == reference_fold(word, table), (basis, word)
+    assert len(_EDGE_GEN) == 2 ** (_LEAF + 1) - 2
+    for n in range(1, _LEAF + 1):
+        for letters in product("01", repeat=n):
+            word = "".join(letters)
+            assert _EDGE_GEN[word] == reference_fold(word), word
+
+
+def test_chart_is_the_conjugated_edge_product():
+    # _TO_CHART is 2 * Q**-1 for Q = _FROM_CHART
+    assert mul(_TO_CHART, _FROM_CHART) == mul(_FROM_CHART, _TO_CHART) == ((2, 0), (0, 2))
+    rng = random.Random(45)
+    words = ["".join(w) for n in range(1, 9) for w in product("01", repeat=n)]
+    words += [seeded_word(rng, n) for n in (97, 500, 3001)]
+    for word in words:
+        (a, b), (c, d) = mul(mul(_TO_CHART, reference_fold(word)), _FROM_CHART)
+        k = len(word) - 1
+        assert reference_fold(word, PlaneBasis.CHART) == \
+            ((a << k, b << k), (c << k, d << k)), word
 
 
 def test_every_short_word():
     for n in range(13):
         for i in range(1 << n):
-            word = format(i, f"0{n}b") if n else ""
-            for gens in TABLES.values():
-                assert _fold2(word, gens) == reference_fold(word, gens), word
+            assert_folds(format(i, f"0{n}b") if n else "")
 
 
 def test_every_length_around_the_leaves():
     rng = random.Random(41)
     for n in range(4 * _LEAF + 2):
         for _ in range(20):
-            word = seeded_word(rng, n)
-            for gens in TABLES.values():
-                assert _fold2(word, gens) == reference_fold(word, gens), word
+            assert_folds(seeded_word(rng, n))
 
 
 @pytest.mark.parametrize("n", [1000, 1001, 4097, 12289, 30000])
 def test_long_words(n):
-    word = seeded_word(random.Random(n), n)
-    for gens in TABLES.values():
-        assert _fold2(word, gens) == reference_fold(word, gens)
+    assert_folds(seeded_word(random.Random(n), n))
 
 
 def test_empty_word_is_the_identity():
-    for gens in TABLES.values():
-        assert _fold2("", gens) == IDENTITY
+    assert _fold2("") == IDENTITY
     assert edge_word_matrix("").entries == IDENTITY
     assert chart_word_matrix("").entries == IDENTITY
+    assert projective_word_matrix("") == IDENTITY
 
 
 @pytest.mark.parametrize("word, bad", [
@@ -94,9 +109,9 @@ def test_empty_word_is_the_identity():
     ("2", "2"),
 ])
 def test_bad_letter_is_named(word, bad):
-    for gens in TABLES.values():
+    for fold in (_fold2, chart_word_matrix, projective_word_matrix):
         with pytest.raises(ValueError, match=f"^word letter must be 0 or 1, got '{bad}'$"):
-            _fold2(word, gens)
+            fold(word)
 
 
 def _long_period_rationals(count):
@@ -116,8 +131,10 @@ def test_exponent_sign_and_chart_fixed_point_match_the_left_fold(monkeypatch):
     params = _long_period_rationals(20)
     periods = [expand(s).period for s in params]
     signs = [_period_sign(w) for w in periods]
+    params += [s / 8 for s in params[:4]]  # with a preperiod of 3 letters
     charts = [direction_at_rational(s) for s in params]
     monkeypatch.setattr(sgharm.exact, "_fold2", reference_fold)
-    monkeypatch.setattr(sgharm.tangent, "_fold2", reference_fold)
+    monkeypatch.setattr(sgharm.tangent, "projective_word_matrix",
+                        lambda word: reference_fold(word, PlaneBasis.CHART))
     assert [_period_sign(w) for w in periods] == signs
     assert [direction_at_rational(s) for s in params] == charts

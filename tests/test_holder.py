@@ -16,8 +16,10 @@ from sgharm.exact import (
 from sgharm.harmonic import FORM_PRESETS
 from sgharm.holder import (
     DerivativeClass,
+    HolderReport,
     MIN_EXPONENT,
     TableCapExceeded,
+    alpha_enclosure,
     classify_curve,
     classify_form,
     estimate_at_bits,
@@ -30,7 +32,7 @@ from sgharm.holder import (
     lyapunov_sample,
     maxrun_experiment,
     table_csv,
-    _eigen_data,
+    _over_power_of_5,
     _period_sign,
 )
 
@@ -175,20 +177,70 @@ def test_integrality_examples():
     assert exponent_excludes_one("0")
 
 
+def reference_enclosure(T, disc, n, width=1e-12, exclude_one=True):
+    """The exponent enclosure from the eigenvalue's trace and discriminant as
+    Fractions in lowest terms."""
+    from mpmath import iv, mp
+
+    def interval(f):
+        return iv.mpf(f.numerator) / iv.mpf(f.denominator)
+
+    prec = 64
+    while True:
+        saved = iv.prec
+        try:
+            iv.prec = prec
+            lam = (interval(T) + iv.sqrt(interval(disc))) / 2
+            ok = lam.a > 0
+            if ok:
+                alpha = iv.log(lam) / (n * iv.log(iv.mpf(0.5)))
+                lo = math.nextafter(float(mp.mpf(alpha.a)), -math.inf)
+                hi = math.nextafter(float(mp.mpf(alpha.b)), math.inf)
+        finally:
+            iv.prec = saved
+        if ok and hi - lo <= width and not (exclude_one and lo <= 1.0 <= hi):
+            return lo, hi
+        prec *= 2
+        assert prec <= 1 << 15
+
+
 def test_integer_exponent_test_matches_quadratic_field():
     rng = random.Random(20240517)
     words = [w for n in range(1, 15) for w in lyndon_words(n)]
     words += ["".join(rng.choice("01") for _ in range(rng.randrange(200, 3001)))
               for _ in range(20)]
+    reduced_trace = reduced_disc = 0
     for word in words:
         # reference: the dominant eigenvalue against 2**-n in the quadratic field
+        n = len(word)
         m = edge_word_matrix(word)
         T, disc = m.trace(), m.trace() ** 2 - 4 * m.det()
-        ref = QuadraticValue(T, disc).compare(Fraction(1, 1 << len(word)))
+        ref = QuadraticValue(T, disc).compare(Fraction(1, 1 << n))
         t, sign = _period_sign(word)
         assert ref != 0 and sign == ref, word
-        assert _eigen_data(t, len(word)) == (T, disc)
         assert exponent_excludes_one(word)
+        assert alpha_enclosure(t, n) == reference_enclosure(T, disc, n), word
+        # the enclosure reads T and disc in Fraction's lowest terms
+        for x, k, f in ((t, n, T), (t * t - 4 * 3 ** n, 2 * n, disc)):
+            num, e = _over_power_of_5(x, k)
+            assert (num, 5 ** e) == (f.numerator, f.denominator), word
+        reduced_trace += t % 5 == 0
+        reduced_disc += (t * t - 4 * 3 ** n) % 25 == 0
+    # the powers of 5 were reduced, not only passed through
+    assert reduced_trace and reduced_disc
+
+
+def test_top_eigenvalue_is_built_from_the_scaled_trace():
+    assert "top_eigenvalue" not in HolderReport.__dataclass_fields__
+    for s in [Fraction(0), Fraction(1), Fraction(1, 5), Fraction(12345, 20029)] + \
+            [Fraction(p, q) for q in range(2, 30) for p in range(1, q, 3)]:
+        r = holder_exponent(s)
+        t, n = r.scaled_trace, r.period_length
+        m = edge_word_matrix(r.period)
+        T, disc = m.trace(), m.trace() ** 2 - 4 * m.det()
+        assert r.top_eigenvalue == QuadraticValue(Fraction(t, 5 ** n),
+                                                  Fraction(t * t - 4 * 3 ** n, 25 ** n))
+        assert r.top_eigenvalue == QuadraticValue(T, disc)
 
 
 # ---------------------------------------------------------------------------

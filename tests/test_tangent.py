@@ -24,8 +24,10 @@ from sgharm.exact import (
 from sgharm.harmonic import FORM_PRESETS, LinearForm, curve_point
 from sgharm.tangent import (
     CHART_DECREASES,
+    CHART_DIAMETER,
     CHART_HI,
     CHART_LO,
+    CONTRACTION_FACTOR,
     ConeError,
     KernelVerdict,
     Side,
@@ -37,6 +39,7 @@ from sgharm.tangent import (
     direction_vector,
     kernel_test,
     projective_word_matrix,
+    _iterations_for,
 )
 
 
@@ -168,6 +171,49 @@ def test_direction_iterates_contract():
                 assert gap <= last_gap
             last_gap = gap
         prev = d.chart
+
+
+def reference_iterations(tols):
+    """The least n with (2/3) * (3/4)**n <= tol, for each tol, from one walk of
+    the Fraction loop; "small" above 20000 and "positive" for tol <= 0."""
+    out = {tol: "positive" for tol in tols if tol <= 0}
+    pending = sorted((tol for tol in tols if tol > 0), reverse=True)
+    n, cur = 0, CHART_DIAMETER
+    while pending:
+        while pending and cur <= pending[0]:
+            out[pending.pop(0)] = n
+        cur = cur * 3 / 4
+        n += 1
+        if n > 20000:
+            out.update((tol, "small") for tol in pending)
+            break
+    return out
+
+
+def test_iterations_for_matches_the_fraction_loop():
+    tiny = Fraction(1, 10 ** 300)
+    tols = {Fraction(1, 10 ** k) for k in range(320)}
+    tols |= {Fraction(1, 10 ** 6021), Fraction(1e-9), Fraction(1, 2 ** 256),
+             Fraction(3, 2), Fraction(0), Fraction(-1, 7)}
+    for k in [*range(800), *range(800, 20000, 997), 19999, 20000, 20001]:
+        edge = CHART_DIAMETER * CONTRACTION_FACTOR ** k
+        tols |= {edge, edge * (1 + tiny), edge * (1 - tiny)}
+    rng = random.Random(28)
+    tols |= {Fraction(rng.randrange(1, 10 ** 6), 10 ** 6 << rng.randrange(40000))
+             for _ in range(200)}
+    reference = reference_iterations(tols)
+    for tol in tols:
+        if reference[tol] == "positive":
+            with pytest.raises(ValueError, match="^tolerance must be positive$"):
+                _iterations_for(tol)
+        elif reference[tol] == "small":
+            with pytest.raises(ValueError, match="^tolerance is unreasonably small$"):
+                _iterations_for(tol)
+        else:
+            assert _iterations_for(tol) == reference[tol], tol
+    edge = CHART_DIAMETER * CONTRACTION_FACTOR ** 20000
+    assert reference[edge] == 20000 and reference[edge * (1 - tiny)] == "small"
+    assert reference[Fraction(1, 2 ** 256)] == 616
 
 
 def test_exact_direction_dyadic():
