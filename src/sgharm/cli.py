@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -99,6 +100,12 @@ def parse_parameter(text: str) -> Fraction:
         if "(" in body:
             value = Expansion.parse(body).value()
         else:
+            # Fraction builds 10**|exponent| in full: bound the exponent as
+            # the interpreter bounds the digits of an integer
+            exponent = re.search(r"e([-+]?[\d_]+)$", body, re.IGNORECASE)
+            if exponent and abs(int(exponent[1])) > sys.int_info.default_max_str_digits:
+                raise ValueError("decimal exponent exceeds "
+                                 f"{sys.int_info.default_max_str_digits}")
             value = Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliInputError(f"cannot parse parameter {text!r}: {exc}") from None
@@ -360,8 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluation, tangent directions and Holder exponents.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def precision(text):
+        digits = int(text)
+        if digits < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {digits}")
+        return digits
+
     def common(p):
-        p.add_argument("--precision", type=int, default=6,
+        p.add_argument("--precision", type=precision, default=6,
                        help="significant digits for numeric text output")
 
     p = sub.add_parser("eval", help="evaluate the vector curve at a parameter")

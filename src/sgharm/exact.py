@@ -332,6 +332,18 @@ def _chart_fold(word: str) -> Mat2i:
     return ((a << k, b << k), (c << k, d << k))
 
 
+# Complementing a word conjugates its products by a swap: _fold2 of
+# complement_word(w) is S @ _fold2(w) @ S for S = ((-1, 1), (0, 1)), with
+# S @ S = I and det S = -1, and in the chart basis the swap is J = diag(1, -1).
+# So a period W + complement_word(W) has the product (_fold2(W) @ S) ** 2,
+# and its chart product is (_chart_fold(W) @ J) ** 2 up to a positive scale.
+def _complement_half(word: str) -> Optional[str]:
+    """W when word is W + complement_word(W) for a nonempty W, else None."""
+    h, odd = divmod(len(word), 2)
+    half = word[:h]
+    return half if h and not odd and word[h:] == complement_word(half) else None
+
+
 def chart_word_matrix(word: str) -> ScaledIntMat2:
     """Chart-basis restriction of a binary word product."""
     return ScaledIntMat2(_chart_fold(word), len(word), len(word), PlaneBasis.CHART)

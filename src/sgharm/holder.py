@@ -28,6 +28,7 @@ from .exact import (
     quad_sign,
     transition_density,
     _EDGE_GEN,
+    _complement_half,
     _fold2,
     _mul2,
 )
@@ -162,13 +163,25 @@ def _period_sign(period: str) -> tuple[int, int]:
     The period's edge restriction has determinant (3/25)**n, so its dominant
     eigenvalue is lam = (t + sqrt(t*t - 4*3**n)) / (2*5**n), and
     2**(n+1) * 5**n * (lam - 2**-n) = t*2**n - 2*5**n + 2**n * sqrt(t*t - 4*3**n).
+
+    A period W + complement_word(W) folds only its half W of h letters: the
+    period's restriction is (A @ S)**2 for W's restriction A (see
+    exact._complement_half).  A @ S has a trace tau and determinant -3**h, so
+    t = tau*tau + 2*3**h, and lam is the square of (|tau| + sqrt(tau*tau +
+    4*3**h)) / (2*5**h), which is compared with 2**-h in the same way.
     """
-    (a, b), (c, d) = edge_word_matrix(period).entries
-    n = len(period)
+    half = _complement_half(period)
+    word = half or period
+    (a, b), (c, d) = edge_word_matrix(word).entries
+    n = len(word)
     if a * d - b * c != 3 ** n:
         raise AssertionError("restriction determinant is off")
-    t = a + d
-    return t, quad_sign((t << n) - 2 * 5 ** n, 1 << n, t * t - 4 * 3 ** n)
+    # trace and determinant of the folded map, A or A @ S (a full period's
+    # trace is positive)
+    tr, det = (a + d, 3 ** n) if half is None else (c + d - a, -3 ** n)
+    square = tr * tr
+    t = tr if half is None else square - 2 * det
+    return t, quad_sign((abs(tr) << n) - 2 * 5 ** n, 1 << n, square - 4 * det)
 
 
 def _derivative_class(sign: int) -> DerivativeClass:

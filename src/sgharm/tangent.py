@@ -27,6 +27,7 @@ from .exact import (
     expand,
     quad_sign,
     _chart_fold,
+    _complement_half,
     _prefix_bits,
 )
 from .harmonic import LinearForm
@@ -182,7 +183,13 @@ def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadD
     e = expand(frac, _side_variant(frac, side))
     # the charts are invariant under a positive scale, so each product drops
     # its factor 2**(len - 1) and the integers below are about half as long
-    (p, q), (r, s) = _unscaled(projective_word_matrix(e.period), len(e.period))
+    half = _complement_half(e.period)
+    word = half or e.period
+    (p, q), (r, s) = _unscaled(projective_word_matrix(word), len(word))
+    if half is not None:
+        # a period W + complement_word(W) maps by the square of C @ J for W's
+        # chart product C (see exact._complement_half): the same fixed points
+        q, s = -q, -s
     if r == 0:
         if p == s:
             raise ValueError("projective map is the identity")

@@ -1,5 +1,6 @@
 """The traced benchmark run wraps library names by getattr: each must exist,
-and uninstalling the wrappers must put every original object back."""
+and uninstalling the wrappers must put every original object back.  Its CLI
+operations run in-process and must pass the subprocesses' checks."""
 
 import importlib
 from pathlib import Path
@@ -45,3 +46,16 @@ def test_install_then_uninstall_restores_every_object(spans):
         after = vars(ns)
         assert after.keys() == saved.keys(), ns
         assert all(after[k] is v for k, v in saved.items()), ns
+
+
+def test_in_process_cli_ops_pass_their_checks(monkeypatch, tmp_path):
+    """The traced cli run calls sgharm.cli.main(argv) inside the worker, under
+    redirected stdout, and checks what it printed as the subprocess's output."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    worker = importlib.import_module("worker")
+    ops = workloads.make_ops(workloads.make_plan("cli", 1), str(BENCH.parent), str(tmp_path))
+    in_process = [op for op in ops if op.argv is not None]
+    assert in_process
+    for op in in_process:
+        op.check(worker._in_process(op)())

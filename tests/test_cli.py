@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -412,6 +413,27 @@ def test_eval_prints_long_dyadic_value(capsys, long_integers):
 def test_long_parameter_still_rejected(capsys):
     code, _, err = run(capsys, "exponent", "1/" + "7" * 4400)
     assert code == 2 and "cannot parse parameter" in err
+
+
+def test_huge_decimal_exponent_rejected_quickly(capsys):
+    # Fraction would build 10**|exponent| in full before the domain check
+    for argv in (("eval", "1e-10000000"), ("exponent", "1e+100000000")):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "decimal exponent exceeds 4300" in err, argv
+        assert time.perf_counter() - t0 < 2, argv
+    # exponents up to the bound keep their answers
+    assert run(capsys, "eval", "1E-5") == run(capsys, "eval", "1/100000")
+    assert run(capsys, "eval", "1e-4300") == \
+        (0, "1 7.48409e-12 7.48409e-12  error<=4.49e-11\n", "")
+
+
+def test_negative_precision_is_a_usage_error(capsys):
+    for argv in (("exponent", "1/3"), ("eval", "1/3"), ("table", "3")):
+        code, out, err = run(capsys, *argv, "--precision", "-2")
+        assert code == 2 and out == "" and "--precision: must be >= 0, got -2" in err, argv
+    code, out, _ = run(capsys, "exponent", "1/3", "--precision", "0")
+    assert code == 0 and out == "s=1/3 period=01 n=2 scaled_trace=7 alpha=1 class=zero\n"
 
 
 # ---------------------------------------------------------------------------

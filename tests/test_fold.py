@@ -7,12 +7,15 @@ from functools import reduce
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 import sgharm.exact
+import sgharm.holder
 import sgharm.tangent
 from sgharm.exact import (
     PlaneBasis,
     chart_word_matrix,
+    complement_word,
     edge_word_matrix,
     expand,
     generator_matrix,
@@ -21,12 +24,15 @@ from sgharm.exact import (
     _FROM_CHART,
     _LEAF,
     _TO_CHART,
+    _complement_half,
     _fold2,
 )
-from sgharm.holder import _period_sign
+from sgharm.holder import _period_sign, holder_exponent
 from sgharm.tangent import direction_at_rational, projective_word_matrix
 
 IDENTITY = ((1, 0), (0, 1))
+SWAP_EDGE = ((-1, 1), (0, 1))  # S: complementing a word conjugates its edge fold by S
+SWAP_CHART = ((1, 0), (0, -1))  # J: the same swap in the chart basis
 LETTERS = {basis: {c: restrict_to_plane(generator_matrix(c), basis).entries for c in "01"}
            for basis in PlaneBasis}
 
@@ -138,3 +144,50 @@ def test_exponent_sign_and_chart_fixed_point_match_the_left_fold(monkeypatch):
                         lambda word: reference_fold(word, PlaneBasis.CHART))
     assert [_period_sign(w) for w in periods] == signs
     assert [direction_at_rational(s) for s in params] == charts
+
+
+def test_swaps_are_involutions():
+    assert mul(SWAP_EDGE, SWAP_EDGE) == mul(SWAP_CHART, SWAP_CHART) == IDENTITY
+    for (a, b), (c, d) in (SWAP_EDGE, SWAP_CHART):
+        assert a * d - b * c == -1
+
+
+@given(st.text(alphabet="01", max_size=300))
+def test_complement_conjugates_the_products_by_the_swap(word):
+    other = complement_word(word)
+    edge, chart = reference_fold(word), reference_fold(word, PlaneBasis.CHART)
+    assert reference_fold(other) == mul(mul(SWAP_EDGE, edge), SWAP_EDGE)
+    assert reference_fold(other, PlaneBasis.CHART) == mul(mul(SWAP_CHART, chart), SWAP_CHART)
+    assert _fold2(other) == mul(mul(SWAP_EDGE, _fold2(word)), SWAP_EDGE)
+
+
+@pytest.mark.parametrize("word, half", [
+    ("", None), ("0", None), ("01", "0"), ("0110", "01"), ("0101", None),
+])
+def test_complement_half(word, half):
+    assert _complement_half(word) == half
+
+
+@pytest.mark.parametrize("s, folded", [
+    (Fraction(1, 3), 1),             # period 01
+    (Fraction(12345, 20029), 10014),
+    (Fraction(1, 7), 3),             # odd order: period 001
+    (Fraction(1, 21), 6),            # period 000011: even length, not W + complement
+    (Fraction(1), 1),                # period 1
+])
+def test_half_fold_is_taken_exactly_on_complement_periods(monkeypatch, s, folded):
+    letters = []
+
+    def counted(fold):
+        def call(word):
+            letters.append(len(word))
+            return fold(word)
+        return call
+
+    monkeypatch.setattr(sgharm.holder, "edge_word_matrix", counted(edge_word_matrix))
+    monkeypatch.setattr(sgharm.tangent, "projective_word_matrix",
+                        counted(projective_word_matrix))
+    period = holder_exponent(s).period
+    direction_at_rational(s)
+    assert letters == [folded, folded]
+    assert (folded < len(period)) == (_complement_half(period) is not None)

@@ -8,6 +8,7 @@ from sgharm.cli import REFERENCE_ROWS
 from sgharm.exact import (
     Expansion,
     QuadraticValue,
+    complement_word,
     edge_word_matrix,
     expand,
     expand_auto,
@@ -209,6 +210,11 @@ def test_integer_exponent_test_matches_quadratic_field():
     words = [w for n in range(1, 15) for w in lyndon_words(n)]
     words += ["".join(rng.choice("01") for _ in range(rng.randrange(200, 3001)))
               for _ in range(20)]
+    # periods W + complement(W), whose sign and trace come from W alone
+    halves = [format(i, f"0{n}b") for n in range(1, 9) for i in range(1 << n)]
+    halves += ["".join(rng.choice("01") for _ in range(rng.randrange(100, 1501)))
+               for _ in range(10)]
+    words += [w + complement_word(w) for w in halves]
     reduced_trace = reduced_disc = 0
     for word in words:
         # reference: the dominant eigenvalue against 2**-n in the quadratic field

@@ -14,6 +14,7 @@ from sgharm.exact import (
     MINOR_EIGVEC_0,
     MINOR_EIGVEC_1,
     QuadraticValue,
+    complement_word,
     expand,
     expand_auto,
     generator_matrix,
@@ -317,8 +318,10 @@ def test_exact_direction_matches_fraction_reference_long_words(monkeypatch):
     # long random words have denominators that expand() cannot factor quickly,
     # so the expansion is handed to direction_at_rational directly
     rng = random.Random(27)
-    for k in range(12):
+    for k in range(20):
         period = "".join(rng.choice("01") for _ in range(rng.randrange(200, 3001)))
+        if k >= 12:  # a period W + complement(W), which folds only W
+            period = period[:len(period) // 2] + complement_word(period[:len(period) // 2])
         preperiod = ""
         if k % 2:
             preperiod = "".join(rng.choice("01") for _ in range(rng.randrange(1, 301)))
