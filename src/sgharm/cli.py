@@ -79,7 +79,7 @@ CURVE_LEVEL_CAP = 16
 # `eval --terms`: the error bound 2 * (3/5)**terms reaches its floor 5e-324 near 1460
 EVAL_TERMS_CAP = 4096
 # `experiment lyapunov`: the slowest accepted run, 2**16 bits x 16 trials, takes
-# about 1 s end to end; each trial also costs about 5 us however short it is
+# about 0.5 s end to end; each trial also costs about 1.5 us however short it is
 LYAPUNOV_BITS_CAP = 2 ** 16
 LYAPUNOV_TRIALS_CAP = 2 ** 16
 LYAPUNOV_LETTERS_CAP = 2 ** 20  # bits x trials
@@ -136,6 +136,12 @@ def _long_integers():
         sys.set_int_max_str_digits(limit)
 
 
+def _long_str(x) -> str:
+    """str() of an exact number, however many digits it has."""
+    with _long_integers():
+        return str(x)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -158,7 +164,7 @@ def cmd_eval(args) -> int:
     bound = approx_error_bound(args.terms)
     floats = v.floats()
     if args.format == "json":
-        _emit(json.dumps({"s": str(s), "exact": False, "value": list(floats),
+        _emit(json.dumps({"s": _long_str(s), "exact": False, "value": list(floats),
                           "error_bound": bound, "terms": args.terms}))
     else:
         _emit(" ".join(_fmt(c, digits) for c in floats)
@@ -200,7 +206,7 @@ def cmd_classify(args) -> int:
                DerivativeClass.UNDETERMINED: KernelVerdict.UNDETERMINED,
                }.get(cls, KernelVerdict.NOT_IN_KERNEL)
     if args.format == "json":
-        _emit(json.dumps({"s": str(s), "form": [str(c) for c in form.row],
+        _emit(json.dumps({"s": _long_str(s), "form": [_long_str(c) for c in form.row],
                           "class": cls.value, "kernel": verdict.value}))
     else:
         _emit(f"class={cls.value} kernel={verdict.value}")
@@ -251,16 +257,14 @@ def cmd_table(args) -> int:
 def cmd_direction(args) -> int:
     s = parse_parameter(args.s)
     side = Side.RIGHT if args.side == "right" else Side.LEFT
-    out: dict = {"s": str(s), "side": side.value}
+    out: dict = {"s": _long_str(s), "side": side.value}
     if args.exact:
         qd = direction_at_rational(s, side)
-        with _long_integers():
-            chart_t, chart_d = str(qd.chart.t), str(qd.chart.d)
         out.update({
             "exact": True,
             "chart": float(qd.chart),
-            "chart_t": chart_t,
-            "chart_d": chart_d,
+            "chart_t": _long_str(qd.chart.t),
+            "chart_d": _long_str(qd.chart.d),
             "chart_plus_root": qd.chart.plus_root,
             "period": qd.period,
             "preperiod": qd.preperiod,

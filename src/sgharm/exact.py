@@ -196,10 +196,9 @@ Mat2i = tuple[tuple[int, int], tuple[int, int]]
 
 def _mul2(a: Mat2i, b: Mat2i) -> Mat2i:
     """Product of two 2x2 integer matrices given as row pairs."""
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
+    (p, q), (r, s) = a
+    (e, f), (g, h) = b
+    return ((p * e + q * g, p * f + q * h), (r * e + s * g, r * f + s * h))
 
 
 class PlaneBasis(Enum):
@@ -268,46 +267,60 @@ def restrict_to_plane(m: ScaledIntMat3, basis: PlaneBasis = PlaneBasis.EDGE) -> 
     return ScaledIntMat2(rows, m.pow5, 1, PlaneBasis.CHART)
 
 
-# Leaf length of the product tree in _fold2.
-_LEAF = 6
-
-
-def _word_table() -> dict[str, Mat2i]:
+def _leaf_tables() -> list[list[Mat2i]]:
     """Integer edge-basis products of the two half-side generators on the plane
-    (entries over 5 per letter) for every 0/1 word of 1 to _LEAF letters."""
-    table = {c: restrict_to_plane(_GEN3[c]).entries for c in "01"}
-    words = list(table)
-    for _ in range(_LEAF - 1):
-        words = [w + c for w in words for c in "01"]
-        table.update({w: _mul2(table[w[:-1]], table[w[-1]]) for w in words})
-    return table
+    (entries over 5 per letter): entry [k][v] is the product of the k-letter
+    0/1 word spelled by the bits of v, for k = 0 to 8."""
+    letters = [restrict_to_plane(_GEN3[c]).entries for c in "01"]
+    tables = [[((1, 0), (0, 1))]]
+    for _ in range(8):
+        tables.append([_mul2(m, g) for m in tables[-1] for g in letters])
+    return tables
 
 
-_EDGE_GEN = _word_table()
+_LEAVES = _leaf_tables()
+# _fold_bits multiplies runs of up to _RUN leaves level by level and splits
+# longer stretches depth-first, so that few large products are alive at once.
+_RUN = 64
+
+
+def _fold_bits(x: int, n: int) -> Mat2i:
+    """Left-to-right integer edge-basis product of the n-letter 0/1 word
+    spelled by the bits of x, 0 <= x < 2**n (entries over 5 per letter).
+
+    A balanced product tree whose leaves are whole bytes, read from a table:
+    the large multiplications pair operands of equal size, where Karatsuba
+    pays off, so the cost is subquadratic in the length.
+    """
+    if n <= 8:
+        return _LEAVES[n][x]
+    data = x.to_bytes((n + 7) // 8, "big")
+    leaves = list(map(_LEAVES[8].__getitem__, data))
+    if n % 8:
+        leaves[0] = _LEAVES[n % 8][data[0]]
+
+    def tree(lo: int, hi: int) -> Mat2i:
+        if hi - lo > _RUN:
+            # the left half takes half the runs, so only the last run is short
+            mid = lo + (hi - lo + _RUN - 1) // _RUN // 2 * _RUN
+            return _mul2(tree(lo, mid), tree(mid, hi))
+        level = leaves[lo:hi]
+        while len(level) > 1:
+            pairs = iter(level)
+            odd = level[-1:] if len(level) % 2 else []
+            level = list(map(_mul2, pairs, pairs)) + odd
+        return level[0]
+
+    return tree(0, len(leaves))
 
 
 def _fold2(word: str) -> Mat2i:
-    """Left-to-right integer edge-basis product of the 2x2 generators named by
-    a 0/1 word (entries over 5 per letter).
-
-    A depth-first balanced product tree over table leaves of up to _LEAF
-    letters: the large multiplications pair operands of equal size, where
-    Karatsuba pays off, so the cost is subquadratic in the length.
-    """
-    def tree(lo: int, hi: int) -> Mat2i:
-        if hi - lo <= _LEAF:
-            return _EDGE_GEN[word[lo:hi]]
-        # the left half takes half the leaves, so only the last leaf is short
-        mid = lo + (hi - lo + _LEAF - 1) // _LEAF // 2 * _LEAF
-        return _mul2(tree(lo, mid), tree(mid, hi))
-
-    if not word:
-        return ((1, 0), (0, 1))
-    try:
-        return tree(0, len(word))
-    except KeyError:
+    """Left-to-right product of the generators named by a 0/1 word: the
+    _fold_bits of the word read as a binary integer."""
+    if word.count("0") + word.count("1") != len(word):
         bad = next(c for c in word if c not in "01")
-        raise ValueError(f"word letter must be 0 or 1, got {bad!r}") from None
+        raise ValueError(f"word letter must be 0 or 1, got {bad!r}")
+    return _fold_bits(int(word or "0", 2), len(word))
 
 
 def edge_word_matrix(word: str) -> ScaledIntMat2:
@@ -580,11 +593,18 @@ def _prefix_bits(s: RationalLike, n: int, variant: ExpansionVariant) -> str:
     return format(head // s.denominator, f"0{n}b") if n else ""
 
 
+# Longest period that expand() builds, above the 10**6 letters of the longest
+# periods served: the exact paths fold the whole period, and at 10**6 letters
+# `direction --exact` already takes about 12 s.
+PERIOD_CAP = 2 ** 21
+
+
 def expand(s: RationalLike, variant: ExpansionVariant = ExpansionVariant.UPPER) -> Expansion:
     """Binary expansion of a rational in [0,1] in the requested variant.
 
     Dyadic endpoints only admit one variant: 0 has no lower expansion and 1
-    has no upper expansion; those combinations raise ValueError.
+    has no upper expansion; those combinations raise ValueError, and so does
+    a period longer than PERIOD_CAP.
     """
     s = Fraction(s)
     q = s.denominator
@@ -594,18 +614,22 @@ def expand(s: RationalLike, variant: ExpansionVariant = ExpansionVariant.UPPER) 
     if m == 1:
         return Expansion(pre, "0" if variant is ExpansionVariant.UPPER else "1", variant)
     k = _mult_order_2(m)
+    if k > PERIOD_CAP:
+        raise ValueError(f"period of at least 2**{k.bit_length() - 1} letters exceeds "
+                         f"the cap {PERIOD_CAP}")
     period_int = s.numerator % m * ((1 << k) - 1) // m
     return Expansion(pre, format(period_int, f"0{k}b"), variant)
 
 
 def expand_auto(s: RationalLike, preferred: ExpansionVariant = ExpansionVariant.UPPER) -> Expansion:
-    """expand() falling back to the other variant at the endpoints 0 and 1."""
-    try:
-        return expand(s, preferred)
-    except ValueError:
-        other = (ExpansionVariant.LOWER if preferred is ExpansionVariant.UPPER
-                 else ExpansionVariant.UPPER)
-        return expand(s, other)
+    """expand() in the other variant at the endpoint the preferred one lacks:
+    1 for the upper expansion, 0 for the lower one."""
+    s = Fraction(s)
+    if preferred is ExpansionVariant.UPPER and s == 1:
+        preferred = ExpansionVariant.LOWER
+    elif preferred is ExpansionVariant.LOWER and s == 0:
+        preferred = ExpansionVariant.UPPER
+    return expand(s, preferred)
 
 
 def expansion_value(e: Expansion) -> Fraction:

@@ -27,9 +27,10 @@ from .exact import (
     necklace_classes,
     quad_sign,
     transition_density,
-    _EDGE_GEN,
+    _LEAVES,
     _complement_half,
     _fold2,
+    _fold_bits,
     _mul2,
 )
 from .harmonic import LinearForm
@@ -238,11 +239,18 @@ def exponent_estimate(bits: str, norm: str = "fro",
     """
     if not bits or set(bits) - {"0", "1"}:
         raise ValueError("bits must be a nonempty 0/1 word")
-    wanted = set(ns) if ns is not None else None
-    prefixes = accumulate(map(_EDGE_GEN.__getitem__, bits), _mul2)
-    points = tuple((n, _estimate(m, n, norm)) for n, m in enumerate(prefixes, 1)
-                   if wanted is None or n in wanted)
-    return EstimateTrace(points, norm)
+    if ns is None:
+        prefixes = accumulate(map(_LEAVES[1].__getitem__, map(int, bits)), _mul2)
+        return EstimateTrace(tuple((n, _estimate(m, n, norm))
+                                   for n, m in enumerate(prefixes, 1)), norm)
+    # fold only the stretch between consecutive wanted lengths
+    points = []
+    m, done = ((1, 0), (0, 1)), 0
+    for n in sorted({n for n in ns if 1 <= n <= len(bits)}):
+        m = _mul2(m, _fold_bits(int(bits[done:n], 2), n - done))
+        points.append((n, _estimate(m, n, norm)))
+        done = n
+    return EstimateTrace(tuple(points), norm)
 
 
 def _mat_power(m, k: int):
@@ -389,8 +397,7 @@ def lyapunov_sample(nbits: int, trials: int, seed: int) -> dict:
     rng = random.Random(seed)
     estimates = []
     for _ in range(trials):
-        bits = format(rng.getrandbits(nbits), f"0{nbits}b")
-        estimates.append(_estimate(_fold2(bits), nbits, "fro"))
+        estimates.append(_estimate(_fold_bits(rng.getrandbits(nbits), nbits), nbits, "fro"))
     above = sum(e > 1.0 for e in estimates)
     return {
         "nbits": nbits,

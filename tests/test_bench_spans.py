@@ -1,6 +1,8 @@
 """The traced benchmark run wraps library names by getattr: each must exist,
 and uninstalling the wrappers must put every original object back.  Its CLI
-operations run in-process and must pass the subprocesses' checks."""
+operations run in-process and must pass the subprocesses' checks, and the
+long_periods operations pass their checks with and without the wrappers,
+which count the same work."""
 
 import importlib
 from pathlib import Path
@@ -59,3 +61,29 @@ def test_in_process_cli_ops_pass_their_checks(monkeypatch, tmp_path):
     assert in_process
     for op in in_process:
         op.check(worker._in_process(op)())
+
+
+# Work counts of one round of long_periods at seed 1.  The exact fold reads
+# half of each W + complement(W) period, and the estimators two batches of
+# 48 x 4096 bits plus one 4096-bit stream; a change of kernel must not move
+# them, or the traced per-layer times would compare different work.
+LONG_PERIODS_COUNTS = {"exact.fold_letters": 37659, "tangent.projective_letters": 38016,
+                       "holder.stream_bits": 397312}
+
+
+def test_long_periods_ops_pass_their_checks_plain_and_traced(spans, tmp_path):
+    import workloads
+
+    plan = workloads.make_plan("long_periods", 1)
+    ops = workloads.make_ops(plan, str(BENCH.parent), str(tmp_path))
+    assert {op.kind for op in ops} == {"period", "curve", "lyapunov", "estimate"}
+    for op in ops:
+        op.check(op.call())
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for op in ops:
+            op.check(op.call())
+    finally:
+        tracer.uninstall()
+    assert {name: tracer.counts[name] for name in LONG_PERIODS_COUNTS} == LONG_PERIODS_COUNTS

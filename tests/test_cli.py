@@ -22,7 +22,7 @@ from sgharm.cli import (
     LYAPUNOV_TRIALS_CAP,
     main,
 )
-from sgharm.exact import Expansion, expand, generator_matrix
+from sgharm.exact import PERIOD_CAP, Expansion, expand, generator_matrix
 from sgharm.harmonic import (
     CENTROID,
     FORM_PRESETS,
@@ -31,8 +31,9 @@ from sgharm.harmonic import (
     curve_point,
     curve_point_dyadic,
     form_value,
+    truncated_curve_value,
 )
-from sgharm.holder import holder_exponent
+from sgharm.holder import classify_form, holder_exponent
 from sgharm.tangent import Side, apply_projective, direction_at, direction_at_rational, kernel_test
 
 
@@ -144,12 +145,21 @@ def test_approximate_paths_never_compute_the_order(capsys, monkeypatch):
         assert run(capsys, *argv)[0] == 0, argv
 
 
-def _python_process(*argv):
+def _src_env():
     src = str(Path(sgharm.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-    return subprocess.run([sys.executable, *argv], env=env,
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
+
+def _python_process(*argv):
+    return subprocess.run([sys.executable, *argv], env=_src_env(),
                           capture_output=True, text=True, timeout=30)
+
+
+def _cli_popen(*argv):
+    """A CLI call left running in the background."""
+    return subprocess.Popen([sys.executable, "-m", "sgharm.cli", *argv], env=_src_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
 def _cli_process(*argv):
@@ -426,6 +436,39 @@ def test_huge_decimal_exponent_rejected_quickly(capsys):
     assert run(capsys, "eval", "1E-5") == run(capsys, "eval", "1/100000")
     assert run(capsys, "eval", "1e-4300") == \
         (0, "1 7.48409e-12 7.48409e-12  error<=4.49e-11\n", "")
+
+
+def test_long_parameters_print_in_full(capsys, long_integers):
+    # 1e-4300 has a denominator of 4301 digits, 1/2**14300 one of 4305
+    tiny = "0." + "0" * 14299 + "1(0)"
+    runs = [run(capsys, *argv) for argv in (("eval", "1e-4300", "--format", "json"),
+                                             ("direction", "1e-4300"),
+                                             ("classify", tiny, "phi", "--format", "json"),
+                                             ("classify", "1/3", "1e-4300,0,1", "--format", "json"))]
+    assert all(code == 0 and err == "" for code, _, err in runs), [r[2] for r in runs]
+    long_integers()
+    eval_json, direction, classify, form = (json.loads(out) for _, out, _ in runs)
+    assert Fraction(eval_json["s"]) == Fraction(direction["s"]) == Fraction(1, 10 ** 4300)
+    assert eval_json["value"] == list(truncated_curve_value(Fraction(1, 10 ** 4300), 48).floats())
+    assert Fraction(classify["s"]) == Fraction(1, 2 ** 14300)
+    assert classify["class"] == classify_form(FORM_PRESETS["phi"], Fraction(1, 2 ** 14300)).value
+    assert [Fraction(c) for c in form["form"]] == [Fraction(1, 10 ** 4300), 0, 1]
+
+
+def test_periods_above_the_cap_exit_3():
+    # 2 has order 4 * 5**4299 modulo 5**4300; finding it takes seconds, so the
+    # three commands run side by side
+    procs = [_cli_popen(*argv) for argv in (("exponent", "1e-4300"),
+                                            ("classify", "1e-4300", "phi", "--format", "json"),
+                                            ("direction", "1e-4300", "--exact"))]
+    try:
+        for proc in procs:
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 3 and out == "", proc.args
+            assert err == f"error: period of at least 2**9983 letters exceeds the cap {PERIOD_CAP}\n"
+    finally:
+        for proc in procs:
+            proc.kill()
 
 
 def test_negative_precision_is_a_usage_error(capsys):

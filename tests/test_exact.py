@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import sgharm.exact
 from sgharm.exact import (
     CHART_BASIS,
     DIFFERENCE_CONE,
@@ -13,6 +14,7 @@ from sgharm.exact import (
     MAJOR_EIGVEC_1,
     MINOR_EIGVEC_0,
     OUTER_CONE,
+    PERIOD_CAP,
     ConeSpec,
     DegenerateEigenvalueError,
     Expansion,
@@ -282,6 +284,38 @@ def test_expand_endpoints():
         expand(0, LOWER)
     assert expand_auto(1).period == "1"
     assert expand_auto(0).period == "0"
+
+
+def test_expand_auto_switches_variant_only_at_the_missing_endpoint(monkeypatch):
+    assert expand_auto(1, LOWER) == expand(1, LOWER)
+    assert expand_auto(0, UPPER) == expand(0, UPPER)
+    assert expand_auto(0, LOWER) == expand(0, UPPER)
+    assert expand_auto(Fraction(1, 2), LOWER) == expand(Fraction(1, 2), LOWER)
+    for s in (Fraction(3, 2), Fraction(-1, 5)):
+        with pytest.raises(ValueError, match="outside"):
+            expand_auto(s)
+    # an error inside expand is not retried in the other variant
+    orders = []
+    monkeypatch.setattr(sgharm.exact, "PERIOD_CAP", 10)
+    monkeypatch.setattr(sgharm.exact, "_mult_order_2",
+                        lambda m: orders.append(m) or _mult_order_2(m))
+    with pytest.raises(ValueError, match="exceeds the cap 10"):
+        expand_auto(Fraction(1, 23))
+    assert orders == [23]
+
+
+def test_period_cap(monkeypatch):
+    assert PERIOD_CAP >= 1000002  # the longest periods served, at 1/1000003
+    # 2 has order q - 1 = 2097210 modulo the prime q = 2097211
+    with pytest.raises(ValueError, match=f"^period of at least 2\\*\\*21 letters exceeds "
+                                         f"the cap {PERIOD_CAP}$"):
+        expand(Fraction(1, 2097211))
+    # 2 has order 10 modulo 11 and 11 modulo 23
+    monkeypatch.setattr(sgharm.exact, "PERIOD_CAP", 10)
+    assert len(expand(Fraction(1, 11)).period) == 10
+    for variant in (UPPER, LOWER):
+        with pytest.raises(ValueError, match="exceeds the cap 10"):
+            expand(Fraction(5, 46), variant)
 
 
 def test_expand_domain_error():

@@ -1,7 +1,8 @@
-"""The product-tree word fold, and the chart products conjugated from it,
-against left folds over single letters."""
+"""The byte-leaf word fold, the estimators built on it, and the chart
+products conjugated from it, against left folds over single letters."""
 
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -20,14 +21,19 @@ from sgharm.exact import (
     expand,
     generator_matrix,
     restrict_to_plane,
-    _EDGE_GEN,
     _FROM_CHART,
-    _LEAF,
+    _LEAVES,
     _TO_CHART,
     _complement_half,
     _fold2,
 )
-from sgharm.holder import _period_sign, holder_exponent
+from sgharm.holder import (
+    _estimate,
+    _period_sign,
+    exponent_estimate,
+    holder_exponent,
+    lyapunov_sample,
+)
 from sgharm.tangent import direction_at_rational, projective_word_matrix
 
 IDENTITY = ((1, 0), (0, 1))
@@ -62,11 +68,11 @@ def seeded_word(rng, n):
 
 
 def test_tables_hold_every_short_word():
-    assert len(_EDGE_GEN) == 2 ** (_LEAF + 1) - 2
-    for n in range(1, _LEAF + 1):
-        for letters in product("01", repeat=n):
-            word = "".join(letters)
-            assert _EDGE_GEN[word] == reference_fold(word), word
+    assert [len(table) for table in _LEAVES] == [2 ** k for k in range(9)]
+    for k, table in enumerate(_LEAVES):
+        for v, leaf in enumerate(table):
+            word = format(v, f"0{k}b") if k else ""
+            assert leaf == reference_fold(word), word
 
 
 def test_chart_is_the_conjugated_edge_product():
@@ -90,9 +96,29 @@ def test_every_short_word():
 
 def test_every_length_around_the_leaves():
     rng = random.Random(41)
-    for n in range(4 * _LEAF + 2):
+    for n in range(41):
         for _ in range(20):
             assert_folds(seeded_word(rng, n))
+
+
+# a run of 64 byte leaves holds 512 letters; the first leaf of a word whose
+# length is not a multiple of 8 is short
+BLOCK_EDGES = sorted({511, 512, 513} | {512 * k + d for k in (2, 3, 4, 5) for d in (-1, 1)})
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_block_edges(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        word = seeded_word(rng, n)
+        assert _fold2(word) == reference_fold(word), n
+
+
+@pytest.mark.parametrize("n", list(range(41)) + BLOCK_EDGES)
+def test_leading_zeros(n):
+    # the word's integer has fewer bits than the word has letters
+    for word in ("0" * n, "0" * n + "1"):
+        assert _fold2(word) == reference_fold(word), word
 
 
 @pytest.mark.parametrize("n", [1000, 1001, 4097, 12289, 30000])
@@ -113,11 +139,58 @@ def test_empty_word_is_the_identity():
     ("0110w" + "1" * 50, "w"),
     ("0" * 13 + "a" + "1" * 30 + "b", "a"),  # the first of two
     ("2", "2"),
+    # int(word, 2) accepts these
+    ("0b1", "b"), ("1_0", "_"), (" 01", " "), ("+1", "+"),
 ])
 def test_bad_letter_is_named(word, bad):
+    message = re.escape(f"word letter must be 0 or 1, got '{bad}'")
     for fold in (_fold2, chart_word_matrix, projective_word_matrix):
-        with pytest.raises(ValueError, match=f"^word letter must be 0 or 1, got '{bad}'$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             fold(word)
+
+
+# lyapunov_sample's results before the byte-leaf fold, which must not move
+LYAPUNOV_RECORDED = {
+    (4096, 48, 1): {"mean": 1.012650501570908, "median": 1.0124840504329375,
+                    "fraction_above_one": 1.0, "min": 1.0063423040577355,
+                    "max": 1.0169773129408362},
+    (4096, 48, 2): {"mean": 1.0120163091890364, "median": 1.0119374871497269,
+                    "fraction_above_one": 1.0, "min": 1.0054406852883235,
+                    "max": 1.0167906295528066},
+    (64, 5, 11): {"mean": 1.006885261212569, "median": 1.0171298864071652,
+                  "fraction_above_one": 0.6, "min": 0.9672873256813166,
+                  "max": 1.0365490933252388},
+    (1, 3, 0): {"mean": 0.6380467934853584, "median": 0.6609640474436809,
+                "fraction_above_one": 0.0, "min": 0.5922122855687135,
+                "max": 0.6609640474436809},
+    (13, 7, 2): {"mean": 0.9714568366478691, "median": 0.9654193468316071,
+                 "fraction_above_one": 0.42857142857142855, "min": 0.8777698475430843,
+                 "max": 1.037227021023117},
+}
+
+
+@pytest.mark.parametrize("nbits, trials, seed", list(LYAPUNOV_RECORDED))
+def test_lyapunov_sample_is_unchanged(nbits, trials, seed):
+    want = {"nbits": nbits, "trials": trials, "seed": seed,
+            **LYAPUNOV_RECORDED[nbits, trials, seed], "low_confidence": nbits < 256}
+    assert lyapunov_sample(nbits, trials, seed) == want
+
+
+@pytest.mark.parametrize("ns", [
+    [5, 1, 300, 17],             # unsorted
+    [64, 64, 8, 8, 300],         # duplicates
+    [0, -1, 301, 1, 300],        # outside 1..len(bits)
+    [],
+    range(1, 301),
+])
+def test_estimate_at_wanted_lengths_filters_the_prefix_trace(ns):
+    bits = seeded_word(random.Random(47), 300)
+    for norm in ("fro", "max"):
+        every = exponent_estimate(bits, norm).points
+        assert every == tuple((n, _estimate(reference_fold(bits[:n]), n, norm))
+                              for n in range(1, 301))
+        assert exponent_estimate(bits, norm, ns=ns).points == \
+            tuple(p for p in every if p[0] in set(ns)), ns
 
 
 def _long_period_rationals(count):
