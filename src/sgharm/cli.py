@@ -201,10 +201,9 @@ def cmd_classify(args) -> int:
     s = parse_parameter(args.s)
     form = _parse_form(args.form)
     cls = classify_form(form, s)
-    # classify_form reports the kernel test's verdict through these two classes
-    verdict = {DerivativeClass.EXCEPTIONAL: KernelVerdict.IN_KERNEL,
-               DerivativeClass.UNDETERMINED: KernelVerdict.UNDETERMINED,
-               }.get(cls, KernelVerdict.NOT_IN_KERNEL)
+    # classify_form reports a direction in the form's kernel as EXCEPTIONAL
+    verdict = (KernelVerdict.IN_KERNEL if cls is DerivativeClass.EXCEPTIONAL
+               else KernelVerdict.NOT_IN_KERNEL)
     if args.format == "json":
         _emit(json.dumps({"s": _long_str(s), "form": [_long_str(c) for c in form.row],
                           "class": cls.value, "kernel": verdict.value}))

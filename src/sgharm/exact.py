@@ -335,12 +335,18 @@ _TO_CHART = ((0, -1), (-2, 1))    # 2 * Q**-1
 _FROM_CHART = ((-1, -1), (-2, 0))  # Q
 
 
+def _to_chart(m: Mat2i) -> Mat2i:
+    """The chart product of a nonempty word divided by 2**(len - 1), from its
+    edge product m."""
+    return _mul2(_mul2(_TO_CHART, m), _FROM_CHART)
+
+
 def _chart_fold(word: str) -> Mat2i:
     """Integer chart-basis product of a 0/1 word (entries over 10 per letter),
     conjugated from the edge fold, whose entries are about half as long."""
     if not word:
         return ((1, 0), (0, 1))
-    (a, b), (c, d) = _mul2(_mul2(_TO_CHART, _fold2(word)), _FROM_CHART)
+    (a, b), (c, d) = _to_chart(_fold2(word))
     k = len(word) - 1
     return ((a << k, b << k), (c << k, d << k))
 

@@ -19,22 +19,23 @@ from typing import Iterable, Optional, Sequence
 
 from .exact import (
     Expansion,
+    Mat2i,
     QuadraticValue,
     RationalLike,
     edge_word_matrix,
     expand_auto,
     max_cyclic_run,
     necklace_classes,
-    quad_sign,
     transition_density,
     _LEAVES,
     _complement_half,
     _fold2,
     _fold_bits,
     _mul2,
+    _to_chart,
 )
 from .harmonic import LinearForm
-from .tangent import KernelVerdict, direction_at_rational, kernel_test
+from .tangent import _chart_fixed_point, _in_kernel
 
 LN2 = math.log(2.0)
 LN5 = math.log(5.0)
@@ -158,31 +159,62 @@ def alpha_enclosure(t: int, n: int, width: float = 1e-12,
             raise ArithmeticError("exponent enclosure did not converge")
 
 
+def _product_sign(a: int, b: int, c: int) -> int:
+    """Sign of a*b - c for positive integers, without the product when the
+    bit lengths decide it."""
+    bits, cbits = a.bit_length() + b.bit_length(), c.bit_length()
+    if bits < cbits:  # a*b < 2**bits <= c
+        return -1
+    if bits > cbits + 1:  # a*b >= 2**(bits - 2) > c
+        return 1
+    x = a * b
+    return (x > c) - (x < c)
+
+
+def _exponent_sign(m: Mat2i, n: int, half: bool) -> tuple[int, int]:
+    """Trace of the folded map and the exact sign of lam - 2**-N, in integers
+    only, from the edge product m of an n-letter word.
+
+    The word is a period of N = n letters, or the half W of a period
+    W + complement_word(W) of N = 2n letters when half is set: that period's
+    restriction is (A @ S)**2 for W's restriction A (see
+    exact._complement_half).  The folded map, A or A @ S, has a trace tr and
+    the determinant det = 3**n or -3**n, and lam is rho or rho**2 for
+    rho = (|tr| + sqrt(tr*tr - 4*det)) / (2*5**n), so the sign is that of
+    rho - 2**-n.
+    """
+    (a, b), (c, d) = m
+    det = 3 ** n
+    if a * d - b * c != det:
+        raise AssertionError("restriction determinant is off")
+    # a full period's trace is positive
+    tr, det = (a + d, det) if not half else (c + d - a, -det)
+    # rho is the larger root of x*x - |tr|/5**n * x + det/25**n.  2**-n is
+    # below rho when it is below the roots' midpoint |tr| / (2*5**n), that
+    # is when k > f below, and otherwise exactly when the polynomial is
+    # negative at 2**-n, where 100**n times it is det*4**n - f*k
+    f = 5 ** n
+    k = (abs(tr) << n) - f
+    if k > f:
+        return tr, 1
+    if k == 0 or (k > 0) != (det > 0):
+        return tr, -1 if det > 0 else 1
+    sign = _product_sign(f, abs(k), abs(det) << 2 * n)
+    return tr, sign if k > 0 else -sign
+
+
 def _period_sign(period: str) -> tuple[int, int]:
     """Scaled trace t and the exact sign of lam - 2**-n, in integers only.
 
     The period's edge restriction has determinant (3/25)**n, so its dominant
-    eigenvalue is lam = (t + sqrt(t*t - 4*3**n)) / (2*5**n), and
-    2**(n+1) * 5**n * (lam - 2**-n) = t*2**n - 2*5**n + 2**n * sqrt(t*t - 4*3**n).
-
-    A period W + complement_word(W) folds only its half W of h letters: the
-    period's restriction is (A @ S)**2 for W's restriction A (see
-    exact._complement_half).  A @ S has a trace tau and determinant -3**h, so
-    t = tau*tau + 2*3**h, and lam is the square of (|tau| + sqrt(tau*tau +
-    4*3**h)) / (2*5**h), which is compared with 2**-h in the same way.
+    eigenvalue is lam = (t + sqrt(t*t - 4*3**n)) / (2*5**n).  A period
+    W + complement_word(W) folds only its half W of h letters, whose folded
+    map A @ S has a trace tau, and t = tau*tau + 2*3**h.
     """
     half = _complement_half(period)
     word = half or period
-    (a, b), (c, d) = edge_word_matrix(word).entries
-    n = len(word)
-    if a * d - b * c != 3 ** n:
-        raise AssertionError("restriction determinant is off")
-    # trace and determinant of the folded map, A or A @ S (a full period's
-    # trace is positive)
-    tr, det = (a + d, 3 ** n) if half is None else (c + d - a, -3 ** n)
-    square = tr * tr
-    t = tr if half is None else square - 2 * det
-    return t, quad_sign((abs(tr) << n) - 2 * 5 ** n, 1 << n, square - 4 * det)
+    tr, sign = _exponent_sign(edge_word_matrix(word).entries, len(word), half is not None)
+    return (tr if half is None else tr * tr + 2 * 3 ** len(word)), sign
 
 
 def _derivative_class(sign: int) -> DerivativeClass:
@@ -299,14 +331,19 @@ def classify_form(form: LinearForm, s: RationalLike) -> DerivativeClass:
     """Derivative class of a scalar harmonic side function at a rational.
 
     Inherits the curve's class when the tangent direction avoids the form's
-    kernel; kernel directions are reported as EXCEPTIONAL.
+    kernel; kernel directions are reported as EXCEPTIONAL.  The verdict is
+    that of kernel_test on direction_at_rational(s), then classify_curve(s),
+    from one expansion and one edge fold of the period: the direction's
+    chart product is conjugated from that fold.
     """
-    verdict = kernel_test(form, direction_at_rational(s))
-    if verdict is KernelVerdict.IN_KERNEL:
+    e = expand_auto(s)
+    half = _complement_half(e.period)
+    word = half or e.period
+    m = edge_word_matrix(word).entries
+    pre = _to_chart(edge_word_matrix(e.preperiod).entries) if e.preperiod else None
+    if _in_kernel(form, *_chart_fixed_point(_to_chart(m), half is not None, pre)):
         return DerivativeClass.EXCEPTIONAL
-    if verdict is KernelVerdict.UNDETERMINED:
-        return DerivativeClass.UNDETERMINED
-    return classify_curve(s)
+    return _derivative_class(_exponent_sign(m, len(word), half is not None)[1])
 
 
 def exponent_bound(e: Expansion) -> tuple[float, float]:

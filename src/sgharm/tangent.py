@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 from .exact import (
@@ -168,25 +169,20 @@ def _unscaled(m: Mat2i, n: int) -> Mat2i:
     return ((a >> k, b >> k), (c >> k, d >> k))
 
 
-def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadDir:
-    """Exact one-sided direction at a rational parameter.
+def _chart_fixed_point(m: Mat2i, half: bool,
+                       pre: Optional[Mat2i] = None) -> tuple[int, int, int, int]:
+    """The exact direction chart at a rational parameter as integers (u, w, R,
+    D), for the chart (u + w*sqrt(D)) / R with R != 0.
 
-    The chart is the fixed point of the period's projective map inside the
-    chart interval, pushed through the preperiod's projective map.  Both
-    steps work on integers, with the chart held as (u + w*sqrt(D)) / R.
+    m is the chart product of the period, or of its half W when half is set
+    and the period is W + complement_word(W); pre is the chart product of the
+    preperiod, if any.  The charts are invariant under a positive scale, so
+    both may be given divided by 2**(len - 1).  The chart is the fixed point
+    of the period's projective map inside the chart interval, pushed through
+    the preperiod's projective map.
     """
-    frac = Fraction(s)
-    if not 0 <= frac <= 1:
-        raise ValueError(f"{frac} is outside [0,1]")
-    if side is None:
-        side = Side.RIGHT if frac < 1 else Side.LEFT
-    e = expand(frac, _side_variant(frac, side))
-    # the charts are invariant under a positive scale, so each product drops
-    # its factor 2**(len - 1) and the integers below are about half as long
-    half = _complement_half(e.period)
-    word = half or e.period
-    (p, q), (r, s) = _unscaled(projective_word_matrix(word), len(word))
-    if half is not None:
+    (p, q), (r, s) = m
+    if half:
         # a period W + complement_word(W) maps by the square of C @ J for W's
         # chart product C (see exact._complement_half): the same fixed points
         q, s = -q, -s
@@ -207,21 +203,56 @@ def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadD
         if len(inside) != 1:
             raise ValueError("expected exactly one fixed point in the chart interval")
         w, = inside
-    if e.preperiod:
-        (a, b), (c, d) = _unscaled(projective_word_matrix(e.preperiod), len(e.preperiod))
+    if pre is not None:
+        (a, b), (c, d) = pre
         n0, n1, d0, d1 = a * u + b * R, a * w, c * u + d * R, c * w
         norm = d0 * d0 - d1 * d1 * D
         if norm == 0:
             raise ConeError("chart left the domain of the projective map")
         # (n0 + n1*sqrt(D)) / (d0 + d1*sqrt(D)), rationalised by the conjugate
         u, w, R = n0 * d0 - n1 * d1 * D, n1 * d0 - n0 * d1, norm
+    return u, w, R, D
+
+
+def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadDir:
+    """Exact one-sided direction at a rational parameter.
+
+    The chart is the fixed point of the period's projective map inside the
+    chart interval, pushed through the preperiod's projective map.  Both
+    steps work on integers, with the chart held as (u + w*sqrt(D)) / R.
+    """
+    frac = Fraction(s)
+    if not 0 <= frac <= 1:
+        raise ValueError(f"{frac} is outside [0,1]")
+    if side is None:
+        side = Side.RIGHT if frac < 1 else Side.LEFT
+    e = expand(frac, _side_variant(frac, side))
+    # each product drops its factor 2**(len - 1), so the integers below are
+    # about half as long
+    half = _complement_half(e.period)
+    word = half or e.period
+    m = _unscaled(projective_word_matrix(word), len(word))
+    pre = (_unscaled(projective_word_matrix(e.preperiod), len(e.preperiod))
+           if e.preperiod else None)
+    u, w, R, D = _chart_fixed_point(m, half is not None, pre)
     chart = QuadraticValue.from_pair(Fraction(u, R), Fraction(w, R), D)
     return QuadDir(chart=chart, period=e.period, preperiod=e.preperiod, side=side)
 
 
+@lru_cache(maxsize=64)  # forms are immutable, and a few presets serve most calls
 def _form_chart_coeffs(form: LinearForm) -> tuple[Fraction, Fraction]:
     # value along direction with chart x is proportional to B*x + A
     return (form(CHART_BASIS[1]), form(CHART_BASIS[0]))
+
+
+def _in_kernel(form: LinearForm, u: int, w: int, R: int, D: int) -> bool:
+    """Exact test of whether the direction with chart (u + w*sqrt(D)) / R,
+    R != 0, lies in the form's kernel."""
+    A, B = _form_chart_coeffs(form)
+    # R * (B*x + A) = A*R + B*u + B*w*sqrt(D), times the positive common
+    # denominator of A and B
+    a, b = A.numerator * B.denominator, B.numerator * A.denominator
+    return quad_sign(a * R + b * u, b * w, D) == 0
 
 
 MAX_REFINE_ERROR = Fraction(1, 2 ** 256)
@@ -229,11 +260,15 @@ MAX_REFINE_ERROR = Fraction(1, 2 ** 256)
 
 def kernel_test(form: LinearForm, direction: Union[QuadDir, ProjDir]) -> KernelVerdict:
     """Exact or interval test of whether a direction lies in a form's kernel."""
-    A, B = _form_chart_coeffs(form)
     if isinstance(direction, QuadDir):
-        p, q = direction.chart.as_pair()
-        sign = quad_sign(A + B * p, B * q, direction.chart.d)
-        return KernelVerdict.IN_KERNEL if sign == 0 else KernelVerdict.NOT_IN_KERNEL
+        # (t +- sqrt(d)) / 2 for t = tn/td and d = dn/dd is
+        # (tn*dd +- td*sqrt(dn*dd)) / (2*td*dd)
+        chart = direction.chart
+        (tn, td), (dn, dd) = chart.t.as_integer_ratio(), chart.d.as_integer_ratio()
+        if _in_kernel(form, tn * dd, td if chart.plus_root else -td, 2 * td * dd, dn * dd):
+            return KernelVerdict.IN_KERNEL
+        return KernelVerdict.NOT_IN_KERNEL
+    A, B = _form_chart_coeffs(form)
     pd = direction
     while True:
         lo = A + B * pd.chart - abs(B) * pd.error

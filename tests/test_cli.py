@@ -245,27 +245,41 @@ def test_classify(capsys):
     assert code == 0
 
 
-def test_classify_computes_direction_and_kernel_once(capsys, monkeypatch):
-    import sgharm.cli
+@pytest.mark.parametrize("argv, folds, line", [
+    # period 01 folds its half 0
+    (("1/3", "psi"), [1], '{"s": "1/3", "form": ["0", "1", "1"], "class": "zero", '
+                          '"kernel": "not_in_kernel"}\n'),
+    # 0.001(10): the half 1 of the period, then the preperiod
+    (("5/24", "phi"), [1, 3], '{"s": "5/24", "form": ["0", "1", "0"], "class": "zero", '
+                              '"kernel": "not_in_kernel"}\n'),
+    # 0.0(001): a period that is not W + complement(W) folds in full
+    (("1/14", "chi"), [3, 1], '{"s": "1/14", "form": ["0", "1", "-1"], "class": "zero", '
+                              '"kernel": "not_in_kernel"}\n'),
+    (("0", "chi"), [1], '{"s": "0", "form": ["0", "1", "-1"], "class": "exceptional", '
+                        '"kernel": "in_kernel"}\n'),
+], ids=["half-period", "preperiod", "full-period", "kernel"])
+def test_classify_expands_and_folds_once(capsys, monkeypatch, argv, folds, line):
     import sgharm.holder
-    import sgharm.tangent
 
-    calls = {"direction_at_rational": 0, "kernel_test": 0}
-    for name in calls:
-        original = getattr(sgharm.tangent, name)
+    expansions, letters = [], []
+    original_expand, original_fold = sgharm.exact.expand, sgharm.exact._fold_bits
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counted_expand(*args, **kwargs):
+        expansions.append(args)
+        return original_expand(*args, **kwargs)
 
-        for mod in (sgharm.tangent, sgharm.holder, sgharm.cli):
-            if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted)
-    code, out, _ = run(capsys, "classify", "1/3", "psi", "--format", "json")
-    assert code == 0
-    assert out == ('{"s": "1/3", "form": ["0", "1", "1"], "class": "zero", '
-                   '"kernel": "not_in_kernel"}\n')
-    assert calls == {"direction_at_rational": 1, "kernel_test": 1}
+    def counted_fold(x, n):
+        letters.append(n)
+        return original_fold(x, n)
+
+    for mod in (sgharm.exact, sgharm.tangent, sgharm.holder, sgharm.cli):
+        if getattr(mod, "expand", None) is original_expand:
+            monkeypatch.setattr(mod, "expand", counted_expand)
+    # every edge and chart fold goes through _fold_bits
+    monkeypatch.setattr(sgharm.exact, "_fold_bits", counted_fold)
+    code, out, _ = run(capsys, "classify", *argv, "--format", "json")
+    assert code == 0 and out == line
+    assert len(expansions) == 1 and letters == folds
 
 
 def test_classify_unknown_preset(capsys):
@@ -352,6 +366,22 @@ LONG_GOLDEN_PARAMETERS = ["1/20029", "12345/80116", "7/1600672"]
 # sha256 of the JSON lines below, as written while the chart products were
 # folded from their own letter table and the eigenvalue data were Fractions
 LONG_GOLDEN_SHA256 = "9d7f3edcfc0537c782644e6b8d3974ffde97e88c56c1f8c23313b5ffb45fdcc5"
+
+
+# sha256 of `classify` at the parameters above for forms other than the
+# presets, as written while classify expanded and folded the period twice
+FORM_GOLDEN_SHA256 = "d46d801bb70679bc4ed4f0538ca4abc58b8ec8b2bcec1ad5ac43560c83eeb8ad"
+
+
+def test_golden_classify_outputs_for_other_forms_unchanged(capsys):
+    lines = []
+    for s in GOLDEN_PARAMETERS:
+        for form in ("1,-2/3,5/7", "0,0,1", "1,1,1"):
+            code, out, _ = run(capsys, "classify", s, form, "--format", "json")
+            assert code == 0 and out.count("\n") == 1, (s, form)
+            lines.append(out)
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == FORM_GOLDEN_SHA256
 
 
 def test_golden_outputs_at_long_periods_unchanged(capsys):

@@ -35,6 +35,7 @@ from sgharm.holder import (
     table_csv,
     _over_power_of_5,
     _period_sign,
+    _product_sign,
 )
 
 
@@ -234,6 +235,18 @@ def test_integer_exponent_test_matches_quadratic_field():
         reduced_disc += (t * t - 4 * 3 ** n) % 25 == 0
     # the powers of 5 were reduced, not only passed through
     assert reduced_trace and reduced_disc
+
+
+def test_product_sign_matches_the_product():
+    # the bit lengths decide only when they are two or more apart
+    triples = [(a, b, c) for a in range(1, 40) for b in range(1, 40) for c in range(1, 1700, 7)]
+    for k in (64, 200, 1000):
+        x = 1 << k
+        triples += [(a, b, a * b + d) for a in (x - 1, x, x + 1) for b in (3, x - 1, x)
+                    for d in (-2, -1, 0, 1, 2)]
+        triples += [(x - 1, x - 1, x * x), (x, x, (x * x << 1) - 1), (x, x, x * x >> 1)]
+    for a, b, c in triples:
+        assert _product_sign(a, b, c) == (a * b > c) - (a * b < c), (a, b, c)
 
 
 def test_top_eigenvalue_is_built_from_the_scaled_trace():
