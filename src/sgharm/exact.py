@@ -352,15 +352,31 @@ def _chart_fold(word: str) -> Mat2i:
 
 
 # Complementing a word conjugates its products by a swap: _fold2 of
-# complement_word(w) is S @ _fold2(w) @ S for S = ((-1, 1), (0, 1)), with
-# S @ S = I and det S = -1, and in the chart basis the swap is J = diag(1, -1).
-# So a period W + complement_word(W) has the product (_fold2(W) @ S) ** 2,
-# and its chart product is (_chart_fold(W) @ J) ** 2 up to a positive scale.
+# complement_word(w) is _SWAP @ _fold2(w) @ _SWAP, with _SWAP @ _SWAP = I and
+# det _SWAP = -1.  So a period W + complement_word(W) has the product
+# (_fold2(W) @ _SWAP) ** 2.  In the chart basis the swap is J = diag(1, -1):
+# _to_chart(m @ _SWAP) is _to_chart(m) @ J.
+_SWAP = ((-1, 1), (0, 1))
+
+
 def _complement_half(word: str) -> Optional[str]:
     """W when word is W + complement_word(W) for a nonempty W, else None."""
     h, odd = divmod(len(word), 2)
     half = word[:h]
     return half if h and not odd and word[h:] == complement_word(half) else None
+
+
+def _period_map(period: str) -> tuple[Mat2i, int]:
+    """(F, h): an edge product F of h letters whose power F**(len(period) // h)
+    is the edge product of the nonempty period, so det F = +-3**h.
+
+    F is the period's own fold, or _fold2(W) @ _SWAP, of determinant -3**h,
+    when the period is W + complement_word(W): then only W is folded.
+    """
+    half = _complement_half(period)
+    if half is None:
+        return edge_word_matrix(period).entries, len(period)
+    return _mul2(edge_word_matrix(half).entries, _SWAP), len(half)
 
 
 def chart_word_matrix(word: str) -> ScaledIntMat2:

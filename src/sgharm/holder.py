@@ -22,17 +22,15 @@ from .exact import (
     Mat2i,
     QuadraticValue,
     RationalLike,
-    edge_word_matrix,
     expand_auto,
     max_cyclic_run,
     necklace_classes,
     transition_density,
     _LEAVES,
-    _complement_half,
     _fold2,
     _fold_bits,
     _mul2,
-    _to_chart,
+    _period_map,
 )
 from .harmonic import LinearForm
 from .tangent import _chart_fixed_point, _in_kernel
@@ -133,7 +131,8 @@ def alpha_enclosure(t: int, n: int, width: float = 1e-12,
     when requested, separated from 1 (always possible: the exponent of a
     rational parameter is never 1).
     """
-    from mpmath import iv, mp  # only the exponent commands pay for the import
+    from mpmath import iv  # only the exponent commands pay for the import
+    from mpmath.libmp import round_nearest, to_float
 
     # the trace t/5**n and the discriminant over 25**n in lowest terms
     tn, tk = _over_power_of_5(t, n)
@@ -148,8 +147,11 @@ def alpha_enclosure(t: int, n: int, width: float = 1e-12,
             ok = lam.a > 0
             if ok:
                 alpha = iv.log(lam) / (n * iv.log(iv.mpf(0.5)))
-                lo = math.nextafter(float(mp.mpf(alpha.a)), -math.inf)
-                hi = math.nextafter(float(mp.mpf(alpha.b)), math.inf)
+                # each end to the nearest float, then one step outward, at
+                # no global precision
+                a, b = alpha._mpi_
+                lo = math.nextafter(to_float(a, rnd=round_nearest), -math.inf)
+                hi = math.nextafter(to_float(b, rnd=round_nearest), math.inf)
         finally:
             iv.prec = saved
         if ok and hi - lo <= width and not (exclude_one and lo <= 1.0 <= hi):
@@ -171,35 +173,31 @@ def _product_sign(a: int, b: int, c: int) -> int:
     return (x > c) - (x < c)
 
 
-def _exponent_sign(m: Mat2i, n: int, half: bool) -> tuple[int, int]:
-    """Trace of the folded map and the exact sign of lam - 2**-N, in integers
-    only, from the edge product m of an n-letter word.
+def _exponent_sign(m: Mat2i, h: int) -> tuple[int, int]:
+    """Trace of a period map and the exact sign of lam - 2**-n, in integers
+    only.
 
-    The word is a period of N = n letters, or the half W of a period
-    W + complement_word(W) of N = 2n letters when half is set: that period's
-    restriction is (A @ S)**2 for W's restriction A (see
-    exact._complement_half).  The folded map, A or A @ S, has a trace tr and
-    the determinant det = 3**n or -3**n, and lam is rho or rho**2 for
-    rho = (|tr| + sqrt(tr*tr - 4*det)) / (2*5**n), so the sign is that of
-    rho - 2**-n.
+    (m, h) is the (F, h) of exact._period_map for a period of n letters, so
+    F has a trace tr and the determinant det = 3**h or -3**h, and the
+    period's dominant eigenvalue lam is rho**(n // h) for
+    rho = (|tr| + sqrt(tr*tr - 4*det)) / (2*5**h): the sign is that of
+    rho - 2**-h.
     """
     (a, b), (c, d) = m
-    det = 3 ** n
-    if a * d - b * c != det:
+    tr, det = a + d, a * d - b * c
+    if abs(det) != 3 ** h:
         raise AssertionError("restriction determinant is off")
-    # a full period's trace is positive
-    tr, det = (a + d, det) if not half else (c + d - a, -det)
-    # rho is the larger root of x*x - |tr|/5**n * x + det/25**n.  2**-n is
-    # below rho when it is below the roots' midpoint |tr| / (2*5**n), that
+    # rho is the larger root of x*x - |tr|/5**h * x + det/25**h.  2**-h is
+    # below rho when it is below the roots' midpoint |tr| / (2*5**h), that
     # is when k > f below, and otherwise exactly when the polynomial is
-    # negative at 2**-n, where 100**n times it is det*4**n - f*k
-    f = 5 ** n
-    k = (abs(tr) << n) - f
+    # negative at 2**-h, where 100**h times it is det*4**h - f*k
+    f = 5 ** h
+    k = (abs(tr) << h) - f
     if k > f:
         return tr, 1
     if k == 0 or (k > 0) != (det > 0):
         return tr, -1 if det > 0 else 1
-    sign = _product_sign(f, abs(k), abs(det) << 2 * n)
+    sign = _product_sign(f, abs(k), abs(det) << 2 * h)
     return tr, sign if k > 0 else -sign
 
 
@@ -207,14 +205,13 @@ def _period_sign(period: str) -> tuple[int, int]:
     """Scaled trace t and the exact sign of lam - 2**-n, in integers only.
 
     The period's edge restriction has determinant (3/25)**n, so its dominant
-    eigenvalue is lam = (t + sqrt(t*t - 4*3**n)) / (2*5**n).  A period
-    W + complement_word(W) folds only its half W of h letters, whose folded
-    map A @ S has a trace tau, and t = tau*tau + 2*3**h.
+    eigenvalue is lam = (t + sqrt(t*t - 4*3**n)) / (2*5**n).  t is the trace
+    tr of the period map F, or tr*tr + 2*3**h, the trace of F**2, when F
+    covers half the period in h letters.
     """
-    half = _complement_half(period)
-    word = half or period
-    tr, sign = _exponent_sign(edge_word_matrix(word).entries, len(word), half is not None)
-    return (tr if half is None else tr * tr + 2 * 3 ** len(word)), sign
+    m, h = _period_map(period)
+    tr, sign = _exponent_sign(m, h)
+    return (tr if h == len(period) else tr * tr + 2 * 3 ** h), sign
 
 
 def _derivative_class(sign: int) -> DerivativeClass:
@@ -301,7 +298,7 @@ def estimate_at_bits(preperiod: str, period: str, nbits: int,
     """Single estimate at exactly nbits letters of preperiod + period-cycle.
 
     Equivalent to exponent_estimate on the expanded word but computed by
-    powering the period matrix, so large nbits stay cheap.
+    powering the period map (exact._period_map), so large nbits stay cheap.
     """
     if nbits < 1:
         raise ValueError("nbits must be >= 1")
@@ -311,9 +308,9 @@ def estimate_at_bits(preperiod: str, period: str, nbits: int,
     m = _fold2(head)
     rest = nbits - len(head)
     if rest:
-        per = edge_word_matrix(period).entries
+        f, h = _period_map(period)
         q, r = divmod(rest, len(period))
-        m = _mul2(m, _mat_power(per, q))
+        m = _mul2(m, _mat_power(f, q * (len(period) // h)))
         m = _mul2(m, _fold2(period[:r]))
     return _estimate(m, nbits, norm)
 
@@ -333,17 +330,13 @@ def classify_form(form: LinearForm, s: RationalLike) -> DerivativeClass:
     Inherits the curve's class when the tangent direction avoids the form's
     kernel; kernel directions are reported as EXCEPTIONAL.  The verdict is
     that of kernel_test on direction_at_rational(s), then classify_curve(s),
-    from one expansion and one edge fold of the period: the direction's
-    chart product is conjugated from that fold.
+    from one expansion and one period map.
     """
     e = expand_auto(s)
-    half = _complement_half(e.period)
-    word = half or e.period
-    m = edge_word_matrix(word).entries
-    pre = _to_chart(edge_word_matrix(e.preperiod).entries) if e.preperiod else None
-    if _in_kernel(form, *_chart_fixed_point(_to_chart(m), half is not None, pre)):
+    m, h = _period_map(e.period)
+    if _in_kernel(form, *_chart_fixed_point(m, e.preperiod)):
         return DerivativeClass.EXCEPTIONAL
-    return _derivative_class(_exponent_sign(m, len(word), half is not None)[1])
+    return _derivative_class(_exponent_sign(m, h)[1])
 
 
 def exponent_bound(e: Expansion) -> tuple[float, float]:

@@ -25,11 +25,13 @@ from .exact import (
     QuadraticValue,
     RationalLike,
     Vec3Q,
+    edge_word_matrix,
     expand,
     quad_sign,
     _chart_fold,
-    _complement_half,
+    _period_map,
     _prefix_bits,
+    _to_chart,
 )
 from .harmonic import LinearForm
 
@@ -162,30 +164,17 @@ def direction_at(s: Union[Expansion, RationalLike], side: Side = Side.RIGHT,
     return ProjDir(chart=chart, exact=False, error=err, source=s if given else frac, side=side)
 
 
-def _unscaled(m: Mat2i, n: int) -> Mat2i:
-    """The chart product of an n-letter word (n >= 1) divided by 2**(n - 1)."""
-    (a, b), (c, d) = m
-    k = n - 1
-    return ((a >> k, b >> k), (c >> k, d >> k))
-
-
-def _chart_fixed_point(m: Mat2i, half: bool,
-                       pre: Optional[Mat2i] = None) -> tuple[int, int, int, int]:
+def _chart_fixed_point(m: Mat2i, preperiod: str) -> tuple[int, int, int, int]:
     """The exact direction chart at a rational parameter as integers (u, w, R,
     D), for the chart (u + w*sqrt(D)) / R with R != 0.
 
-    m is the chart product of the period, or of its half W when half is set
-    and the period is W + complement_word(W); pre is the chart product of the
-    preperiod, if any.  The charts are invariant under a positive scale, so
-    both may be given divided by 2**(len - 1).  The chart is the fixed point
-    of the period's projective map inside the chart interval, pushed through
-    the preperiod's projective map.
+    m is the period map F of exact._period_map: a power of F is the period's
+    edge product, so F's projective map has the period's fixed points.  The
+    chart is the fixed point inside the chart interval, pushed through the
+    preperiod's projective map.  Both maps are read in the chart basis from
+    the edge products through exact._to_chart, up to a positive scale.
     """
-    (p, q), (r, s) = m
-    if half:
-        # a period W + complement_word(W) maps by the square of C @ J for W's
-        # chart product C (see exact._complement_half): the same fixed points
-        q, s = -q, -s
+    (p, q), (r, s) = _to_chart(m)
     if r == 0:
         if p == s:
             raise ValueError("projective map is the identity")
@@ -203,8 +192,8 @@ def _chart_fixed_point(m: Mat2i, half: bool,
         if len(inside) != 1:
             raise ValueError("expected exactly one fixed point in the chart interval")
         w, = inside
-    if pre is not None:
-        (a, b), (c, d) = pre
+    if preperiod:
+        (a, b), (c, d) = _to_chart(edge_word_matrix(preperiod).entries)
         n0, n1, d0, d1 = a * u + b * R, a * w, c * u + d * R, c * w
         norm = d0 * d0 - d1 * d1 * D
         if norm == 0:
@@ -227,14 +216,7 @@ def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadD
     if side is None:
         side = Side.RIGHT if frac < 1 else Side.LEFT
     e = expand(frac, _side_variant(frac, side))
-    # each product drops its factor 2**(len - 1), so the integers below are
-    # about half as long
-    half = _complement_half(e.period)
-    word = half or e.period
-    m = _unscaled(projective_word_matrix(word), len(word))
-    pre = (_unscaled(projective_word_matrix(e.preperiod), len(e.preperiod))
-           if e.preperiod else None)
-    u, w, R, D = _chart_fixed_point(m, half is not None, pre)
+    u, w, R, D = _chart_fixed_point(_period_map(e.period)[0], e.preperiod)
     chart = QuadraticValue.from_pair(Fraction(u, R), Fraction(w, R), D)
     return QuadDir(chart=chart, period=e.period, preperiod=e.preperiod, side=side)
 

@@ -63,12 +63,37 @@ def test_in_process_cli_ops_pass_their_checks(monkeypatch, tmp_path):
         op.check(worker._in_process(op)())
 
 
+def test_in_process_cli_ops_pass_their_checks_traced(spans, tmp_path):
+    """One round of the same ops through the worker's loop with the wrappers
+    installed, as the traced cli run makes them: a wrapper or counter that
+    breaks a command fails here."""
+    import workloads
+    import worker
+
+    ops = workloads.make_ops(workloads.make_plan("cli", 1), str(BENCH.parent), str(tmp_path))
+    in_process = [op for op in ops if op.argv is not None]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        result = worker.run_phase(in_process, 0, 1, tracer=tracer, in_process=True, rounds=1)
+    finally:
+        tracer.uninstall()
+    assert (result["failed"], result["wrong"]) == (0, 0), result["errors"]
+    assert tracer.calls["cli.main"] == result["attempted"] == len(in_process)
+    assert tracer.metrics(1)["cli.main_ms"] > 0
+
+
 # Work counts of one round of long_periods at seed 1.  The exact fold reads
-# half of each W + complement(W) period, and the estimators two batches of
-# 48 x 4096 bits plus one 4096-bit stream; a change of kernel must not move
-# them, or the traced per-layer times would compare different work.
-LONG_PERIODS_COUNTS = {"exact.fold_letters": 37659, "tangent.projective_letters": 38016,
+# half of each W + complement(W) period, for the exponent and for the exact
+# tangent alike; the projective fold only serves direction_at's prefixes, and
+# the estimators read two batches of 48 x 4096 bits plus one 4096-bit
+# stream.  A change of kernel must not move them, or the traced per-layer
+# times would compare different work.
+LONG_PERIODS_COUNTS = {"exact.fold_letters": 75320, "tangent.projective_letters": 355,
                        "holder.stream_bits": 397312}
+# the letters folded by either path: the exact tangent's period and
+# preperiod folds moved from the projective count to the exact one
+LONG_PERIODS_FOLDED = 75675
 
 
 def test_long_periods_ops_pass_their_checks_plain_and_traced(spans, tmp_path):
@@ -87,3 +112,5 @@ def test_long_periods_ops_pass_their_checks_plain_and_traced(spans, tmp_path):
     finally:
         tracer.uninstall()
     assert {name: tracer.counts[name] for name in LONG_PERIODS_COUNTS} == LONG_PERIODS_COUNTS
+    folded = tracer.counts["exact.fold_letters"] + tracer.counts["tangent.projective_letters"]
+    assert folded == LONG_PERIODS_FOLDED

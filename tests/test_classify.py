@@ -2,6 +2,7 @@
 its kernel test, then the curve's class, each from its own expansion and
 fold.  Outcomes are compared whole, exceptions included."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -135,3 +136,24 @@ def test_kernel_test_matches_the_fraction_formula():
             verdicts.add(got)
     assert verdicts == {KernelVerdict.IN_KERNEL, KernelVerdict.NOT_IN_KERNEL}
 
+
+GOLDEN_RATIONALS = sorted({Fraction(p, q) for q in range(1, 97) for p in range(q + 1)})
+GOLDEN_FORMS = ("1,-2/3,5/7", "0,0,1", "1,1,1", "0,0,0")
+
+# sha256 of the lines below, as written while the exact tangent folded its
+# chart products through projective_word_matrix and each consumer of a
+# W + complement(W) period took the swap on its own
+EXACT_GOLDEN_SHA256 = "4a764517b54f2cba0d70a5f93e65daea815f572d5f762c70bfa1bb657913877a"
+
+
+def _golden_lines():
+    for s in GOLDEN_RATIONALS:
+        for text in GOLDEN_FORMS:
+            yield f"classify {s} {text} {_outcome(classify_form, LinearForm.parse(text), s)!r}\n"
+        for side in Side:
+            yield f"direction {s} {side.value} {_outcome(direction_at_rational, s, side)!r}\n"
+
+
+def test_golden_classes_and_exact_directions_unchanged():
+    digest = hashlib.sha256("".join(_golden_lines()).encode()).hexdigest()
+    assert digest == EXACT_GOLDEN_SHA256

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sgharm.exact
-import sgharm.holder
-import sgharm.tangent
 from sgharm.exact import (
     PlaneBasis,
+    QuadraticValue,
     chart_word_matrix,
     complement_word,
     edge_word_matrix,
@@ -26,6 +25,7 @@ from sgharm.exact import (
     _TO_CHART,
     _complement_half,
     _fold2,
+    _period_map,
 )
 from sgharm.holder import (
     _estimate,
@@ -206,15 +206,33 @@ def _long_period_rationals(count):
     return out
 
 
+def chart_fold_direction(e):
+    """The exact chart from the chart-basis left folds of the whole period and
+    the preperiod: the period's fixed point inside the chart interval, pushed
+    through the preperiod's projective map."""
+    (p, q), (r, s) = reference_fold(e.period, PlaneBasis.CHART)
+    # x = (p - s +- sqrt((s - p)**2 + 4*r*q)) / (2*r); r is nonzero on these periods
+    t, disc = Fraction(p - s, r), Fraction((s - p) ** 2 + 4 * r * q, r * r)
+    x, = [x for x in (QuadraticValue(t, disc, True), QuadraticValue(t, disc, False))
+          if x.compare(Fraction(-1, 3)) >= 0 >= x.compare(Fraction(1, 3))]
+    if not e.preperiod:
+        return x
+    (a, b), (c, d) = reference_fold(e.preperiod, PlaneBasis.CHART)
+    x0, x1 = x.as_pair()
+    n0, n1, d0, d1 = a * x0 + b, a * x1, c * x0 + d, c * x1
+    norm = d0 * d0 - d1 * d1 * x.d
+    return QuadraticValue.from_pair((n0 * d0 - n1 * d1 * x.d) / norm,
+                                    (n1 * d0 - n0 * d1) / norm, x.d)
+
+
 def test_exponent_sign_and_chart_fixed_point_match_the_left_fold(monkeypatch):
     params = _long_period_rationals(20)
     periods = [expand(s).period for s in params]
     signs = [_period_sign(w) for w in periods]
     params += [s / 8 for s in params[:4]]  # with a preperiod of 3 letters
     charts = [direction_at_rational(s) for s in params]
+    assert [qd.chart for qd in charts] == [chart_fold_direction(expand(s)) for s in params]
     monkeypatch.setattr(sgharm.exact, "_fold2", reference_fold)
-    monkeypatch.setattr(sgharm.tangent, "projective_word_matrix",
-                        lambda word: reference_fold(word, PlaneBasis.CHART))
     assert [_period_sign(w) for w in periods] == signs
     assert [direction_at_rational(s) for s in params] == charts
 
@@ -257,10 +275,34 @@ def test_half_fold_is_taken_exactly_on_complement_periods(monkeypatch, s, folded
             return fold(word)
         return call
 
-    monkeypatch.setattr(sgharm.holder, "edge_word_matrix", counted(edge_word_matrix))
-    monkeypatch.setattr(sgharm.tangent, "projective_word_matrix",
-                        counted(projective_word_matrix))
+    monkeypatch.setattr(sgharm.exact, "edge_word_matrix", counted(edge_word_matrix))
     period = holder_exponent(s).period
     direction_at_rational(s)
     assert letters == [folded, folded]
     assert (folded < len(period)) == (_complement_half(period) is not None)
+
+
+def _period_words():
+    """Every word of 1 to 12 letters, and seeded words of 10**3 to 3*10**4
+    letters, half of them of the form W + complement(W)."""
+    words = ["".join(w) for n in range(1, 13) for w in product("01", repeat=n)]
+    rng = random.Random(49)
+    for k in range(12):
+        word = seeded_word(rng, rng.randrange(1000, 30001))
+        if k % 2:
+            word = word[:len(word) // 2] + complement_word(word[:len(word) // 2])
+        words.append(word)
+    return words
+
+
+def test_period_map_powers_to_the_period_product():
+    halves = 0
+    for word in _period_words():
+        f, h = _period_map(word)
+        half = _complement_half(word)
+        assert h == len(half or word), word
+        (a, b), (c, d) = f
+        assert a * d - b * c == (3 ** h if h == len(word) else -3 ** h), word
+        assert (f if h == len(word) else mul(f, f)) == _fold2(word), word
+        halves += h < len(word)
+    assert halves == 2 ** 7 - 2 + 6  # every nonempty W of up to 6 letters, and 6 seeded

@@ -237,6 +237,25 @@ def test_integer_exponent_test_matches_quadratic_field():
     assert reduced_trace and reduced_disc
 
 
+def test_enclosure_ignores_the_global_mpmath_precision():
+    from mpmath import mp
+
+    cases = [(w, width) for w in ("001", "01", "0", "0010111", "0" * 40 + "1")
+             for width in (1e-12, 1e-15)]
+    cases = [(_period_sign(w)[0], len(w), width) for w, width in cases]
+    want = [alpha_enclosure(t, n, width) for t, n, width in cases]
+    saved = mp.prec
+    try:
+        mp.prec = 20
+        got = [alpha_enclosure(t, n, width) for t, n, width in cases]
+    finally:
+        mp.prec = saved
+    assert got == want
+    # period 001 at the default precision; mp.prec = 20 once gave an interval
+    # that excluded the exponent 1.04997527...
+    assert want[0] == (1.0499752744276936, 1.049975274427694)
+
+
 def test_product_sign_matches_the_product():
     # the bit lengths decide only when they are two or more apart
     triples = [(a, b, c) for a in range(1, 40) for b in range(1, 40) for c in range(1, 1700, 7)]
@@ -296,6 +315,14 @@ def test_estimate_fast_path_matches_sequential():
     seq2 = exponent_estimate(pre_bits, ns=[2048]).final()
     fast2 = estimate_at_bits("10110100", "001", 2048)
     assert seq2 == fast2
+    # periods W + complement(W), which power the map of W, at lengths that
+    # end in either half
+    for period in ("01", "0011", "011100", "0001011" + "1110100"):
+        for pre in ("", "10110100"):
+            word = pre + period * 1024
+            for nbits in (1, 9, 2 * len(period) + 1, 1000, 1003, 2048):
+                seq = exponent_estimate(word[:nbits], ns=[nbits]).final()
+                assert estimate_at_bits(pre, period, nbits) == seq, (pre, period, nbits)
 
 
 def test_norm_independence():
