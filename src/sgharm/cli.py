@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -18,6 +20,7 @@ from typing import Optional
 
 from .exact import Expansion
 from .harmonic import (
+    DEFAULT_GRID_CAP,
     GridCapExceeded,
     LinearForm,
     VECTOR_BOUNDARY,
@@ -114,6 +117,13 @@ def parse_parameter(text: str) -> Fraction:
     return value
 
 
+def _parse_form(text: str) -> LinearForm:
+    try:
+        return LinearForm.parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliInputError(str(exc)) from None
+
+
 def _fmt(x: float, digits: int) -> str:
     return f"{x:.{digits}g}"
 
@@ -125,9 +135,9 @@ def _emit(text: str) -> None:
 @contextlib.contextmanager
 def _long_integers():
     """Lift the interpreter's 4300-digit limit on int-to-decimal conversion
-    while an exact answer is formatted: scaled traces, chart values and
-    dyadic values exceed it at long periods and fine levels.  Parameters are
-    parsed before, under the limit."""
+    while a command runs: scaled traces, chart values and dyadic values
+    exceed it at long periods and fine levels.  main parses the parameter
+    and the form before, under the limit."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -136,35 +146,28 @@ def _long_integers():
         sys.set_int_max_str_digits(limit)
 
 
-def _long_str(x) -> str:
-    """str() of an exact number, however many digits it has."""
-    with _long_integers():
-        return str(x)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_eval(args) -> int:
-    s = parse_parameter(args.s)
+    s = args.s
     if args.terms > EVAL_TERMS_CAP:
         raise CliDomainError(f"terms {args.terms} exceeds the cap {EVAL_TERMS_CAP}")
     digits = args.precision
     if s.denominator & (s.denominator - 1) == 0:
         v = curve_point_dyadic(s.numerator, s.denominator.bit_length() - 1)
-        with _long_integers():
-            if args.format == "json":
-                _emit(json.dumps({"s": str(s), "exact": True,
-                                  "value": [str(c) for c in v.coords]}))
-            else:
-                _emit(" ".join(str(c) for c in v.coords))
+        if args.format == "json":
+            _emit(json.dumps({"s": str(s), "exact": True,
+                              "value": [str(c) for c in v.coords]}))
+        else:
+            _emit(" ".join(str(c) for c in v.coords))
         return 0
     v = truncated_curve_value(s, args.terms)
     bound = approx_error_bound(args.terms)
     floats = v.floats()
     if args.format == "json":
-        _emit(json.dumps({"s": _long_str(s), "exact": False, "value": list(floats),
+        _emit(json.dumps({"s": str(s), "exact": False, "value": list(floats),
                           "error_bound": bound, "terms": args.terms}))
     else:
         _emit(" ".join(_fmt(c, digits) for c in floats)
@@ -173,39 +176,28 @@ def cmd_eval(args) -> int:
 
 
 def cmd_exponent(args) -> int:
-    s = parse_parameter(args.s)
-    report = holder_exponent(s)
-    with _long_integers():
-        if args.format == "json":
-            _emit(json.dumps(report.to_dict()))
-        elif args.format == "csv":
-            _emit(",".join(TABLE_CSV_HEADER))
-            _emit(",".join(report.csv_row()))
-        else:
-            d = args.precision
-            _emit(f"s={report.s} period={report.period} n={report.period_length} "
-                  f"scaled_trace={report.scaled_trace} "
-                  f"alpha={_fmt(report.alpha, d)} "
-                  f"class={report.derivative_class.value}")
+    report = holder_exponent(args.s)
+    if args.format == "json":
+        _emit(json.dumps(report.to_dict()))
+    elif args.format == "csv":
+        _emit(",".join(TABLE_CSV_HEADER))
+        _emit(",".join(report.csv_row()))
+    else:
+        d = args.precision
+        _emit(f"s={report.s} period={report.period} n={report.period_length} "
+              f"scaled_trace={report.scaled_trace} "
+              f"alpha={_fmt(report.alpha, d)} "
+              f"class={report.derivative_class.value}")
     return 0
 
 
-def _parse_form(text: str) -> LinearForm:
-    try:
-        return LinearForm.parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliInputError(str(exc)) from None
-
-
 def cmd_classify(args) -> int:
-    s = parse_parameter(args.s)
-    form = _parse_form(args.form)
-    cls = classify_form(form, s)
+    cls = classify_form(args.form, args.s)
     # classify_form reports a direction in the form's kernel as EXCEPTIONAL
     verdict = (KernelVerdict.IN_KERNEL if cls is DerivativeClass.EXCEPTIONAL
                else KernelVerdict.NOT_IN_KERNEL)
     if args.format == "json":
-        _emit(json.dumps({"s": _long_str(s), "form": [_long_str(c) for c in form.row],
+        _emit(json.dumps({"s": str(args.s), "form": [str(c) for c in args.form.row],
                           "class": cls.value, "kernel": verdict.value}))
     else:
         _emit(f"class={cls.value} kernel={verdict.value}")
@@ -254,16 +246,16 @@ def cmd_table(args) -> int:
 
 
 def cmd_direction(args) -> int:
-    s = parse_parameter(args.s)
+    s = args.s
     side = Side.RIGHT if args.side == "right" else Side.LEFT
-    out: dict = {"s": _long_str(s), "side": side.value}
+    out: dict = {"s": str(s), "side": side.value}
     if args.exact:
         qd = direction_at_rational(s, side)
         out.update({
             "exact": True,
             "chart": float(qd.chart),
-            "chart_t": _long_str(qd.chart.t),
-            "chart_d": _long_str(qd.chart.d),
+            "chart_t": str(qd.chart.t),
+            "chart_d": str(qd.chart.d),
             "chart_plus_root": qd.chart.plus_root,
             "period": qd.period,
             "preperiod": qd.preperiod,
@@ -316,7 +308,8 @@ def cmd_render(args) -> int:
                 + " ".join(pts) + '"/>')
     else:
         level = args.level if args.level is not None else 4
-        grid = harmonic_grid(VECTOR_BOUNDARY, level)
+        cap = os.environ.get("HARMONIC_GRID_CAP")
+        grid = harmonic_grid(VECTOR_BOUNDARY, level, int(cap) if cap else DEFAULT_GRID_CAP)
         segs = []
         for a, b, c in sorted(grid.triangles):
             for p, q in ((a, b), (a, c), (b, c)):
@@ -363,7 +356,9 @@ def cmd_experiment(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="sgharm",
         description="Harmonic functions on the Sierpinski gasket: exact side "
@@ -376,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be >= 0, got {digits}")
         return digits
 
-    def common(p):
+    def precision_option(p):
         p.add_argument("--precision", type=precision, default=6,
                        help="significant digits for numeric text output")
 
@@ -384,20 +379,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("s")
     p.add_argument("-n", "--terms", type=int, default=48)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    common(p)
+    precision_option(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("exponent", help="Holder exponent report at a rational")
     p.add_argument("s")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common(p)
+    precision_option(p)
     p.set_defaults(func=cmd_exponent)
 
     p = sub.add_parser("classify", help="derivative class of a scalar side function")
     p.add_argument("s")
     p.add_argument("form", help="preset phi|psi|chi|xi or 'a,b,c'")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    common(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("table", help="exponent table over short periods")
@@ -406,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--check", action="store_true",
                    help="compare against the built-in reference rows")
-    common(p)
+    precision_option(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("direction", help="tangent direction at a parameter")
@@ -414,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("right", "left"), default="right")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--exact", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_direction)
 
     p = sub.add_parser("render", help="static SVG of the curve or the image grid")
@@ -423,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--width", type=int, default=800)
     p.add_argument("--height", type=int, default=700)
-    common(p)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("experiment", help="maxrun or lyapunov experiment")
@@ -432,20 +424,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, default=4096)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
     p.set_defaults(func=cmd_experiment)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        if "s" in vars(args):
+            args.s = parse_parameter(args.s)
+        if "form" in vars(args):
+            args.form = _parse_form(args.form)
+        with _long_integers():
+            return args.func(args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

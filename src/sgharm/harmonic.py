@@ -11,10 +11,9 @@ import csv
 import io
 import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .exact import (
     E0,
@@ -32,7 +31,6 @@ from .exact import (
 CENTROID = Vec3Q.of(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 
 DEFAULT_GRID_CAP = 10
-GRID_CAP_ENV = "HARMONIC_GRID_CAP"
 
 class GridCapExceeded(RuntimeError):
     """Requested grid level is above the configured cap."""
@@ -273,25 +271,17 @@ class HarmonicGrid:
             self.level, ",".join(vertices), json.dumps(tris, separators=(",", ":")))
 
 
-def _grid_cap(explicit: Optional[int]) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(GRID_CAP_ENV)
-    return int(env) if env else DEFAULT_GRID_CAP
-
-
-def harmonic_grid(boundary, level: int, cap: Optional[int] = None) -> HarmonicGrid:
+def harmonic_grid(boundary, level: int, cap: int = DEFAULT_GRID_CAP) -> HarmonicGrid:
     """Exact harmonic grid at the given subdivision level.
 
-    The triangle count is 3**level; levels above the cap (default 10, or the
-    HARMONIC_GRID_CAP environment variable) raise GridCapExceeded.
+    The triangle count is 3**level; levels above the cap raise GridCapExceeded.
     """
     if not isinstance(boundary, BoundaryTriple):
         boundary = BoundaryTriple(*boundary)
     if level < 0:
         raise ValueError("level must be nonnegative")
-    if level > _grid_cap(cap):
-        raise GridCapExceeded(f"level {level} exceeds grid cap {_grid_cap(cap)}")
+    if level > cap:
+        raise GridCapExceeded(f"level {level} exceeds grid cap {cap}")
     corners = (boundary.at_zero, boundary.at_one, boundary.at_omega)
     vector = isinstance(corners[0], Vec3Q)
     if any(isinstance(v, Vec3Q) != vector for v in corners):

@@ -14,7 +14,6 @@ import statistics
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .exact import (
@@ -26,7 +25,6 @@ from .exact import (
     max_cyclic_run,
     necklace_classes,
     transition_density,
-    _LEAVES,
     _fold2,
     _fold_bits,
     _mul2,
@@ -121,41 +119,41 @@ def _over_power_of_5(x: int, k: int) -> tuple[int, int]:
     return x, k
 
 
-def alpha_enclosure(t: int, n: int, width: float = 1e-12,
-                    exclude_one: bool = True) -> tuple[float, float]:
+def alpha_enclosure(t: int, n: int, width: float = 1e-12) -> tuple[float, float]:
     """Certified float enclosure of ln(lam)/(n ln 1/2) for the dominant
     eigenvalue lam = (t + sqrt(t*t - 4*3**n)) / (2*5**n) of an n-letter
     period with scaled trace t.
 
-    Precision is doubled until the enclosure is narrower than `width` and,
-    when requested, separated from 1 (always possible: the exponent of a
-    rational parameter is never 1).
+    Precision is doubled until the enclosure is narrower than `width` and
+    separated from 1 (always possible: the exponent of a rational parameter
+    is never 1).  Every operation gets its precision as an argument, so no
+    mpmath context is read or written.
     """
-    from mpmath import iv  # only the exponent commands pay for the import
-    from mpmath.libmp import round_nearest, to_float
+    # only the exponent commands pay for the import
+    from mpmath.libmp import (fhalf, from_int, fzero, mpf_gt, mpi_add, mpi_div, mpi_log,
+                              mpi_mul, mpi_sqrt, round_ceiling, round_floor, round_nearest,
+                              to_float)
+
+    def interval(x: int):
+        return from_int(x, prec, round_floor), from_int(x, prec, round_ceiling)
 
     # the trace t/5**n and the discriminant over 25**n in lowest terms
     tn, tk = _over_power_of_5(t, n)
     dn, dk = _over_power_of_5(t * t - 4 * 3 ** n, 2 * n)
+    tden, dden = 5 ** tk, 5 ** dk
     prec = 64
     while True:
-        saved = iv.prec
-        try:
-            iv.prec = prec
-            trace = iv.mpf(tn) / iv.mpf(5 ** tk)
-            lam = (trace + iv.sqrt(iv.mpf(dn) / iv.mpf(5 ** dk))) / 2
-            ok = lam.a > 0
-            if ok:
-                alpha = iv.log(lam) / (n * iv.log(iv.mpf(0.5)))
-                # each end to the nearest float, then one step outward, at
-                # no global precision
-                a, b = alpha._mpi_
-                lo = math.nextafter(to_float(a, rnd=round_nearest), -math.inf)
-                hi = math.nextafter(to_float(b, rnd=round_nearest), math.inf)
-        finally:
-            iv.prec = saved
-        if ok and hi - lo <= width and not (exclude_one and lo <= 1.0 <= hi):
-            return lo, hi
+        trace = mpi_div(interval(tn), interval(tden), prec)
+        root = mpi_sqrt(mpi_div(interval(dn), interval(dden), prec), prec)
+        lam = mpi_div(mpi_add(trace, root, prec), interval(2), prec)
+        if mpf_gt(lam[0], fzero):
+            a, b = mpi_div(mpi_log(lam, prec),
+                           mpi_mul(interval(n), mpi_log((fhalf, fhalf), prec), prec), prec)
+            # each end to the nearest float, then one step outward
+            lo = math.nextafter(to_float(a, rnd=round_nearest), -math.inf)
+            hi = math.nextafter(to_float(b, rnd=round_nearest), math.inf)
+            if hi - lo <= width and not lo <= 1.0 <= hi:
+                return lo, hi
         prec *= 2
         if prec > 1 << 15:
             raise ArithmeticError("exponent enclosure did not converge")
@@ -220,7 +218,7 @@ def _derivative_class(sign: int) -> DerivativeClass:
     return DerivativeClass.ZERO if sign < 0 else DerivativeClass.INFINITE
 
 
-def holder_exponent(s: RationalLike, width: float = 1e-12) -> HolderReport:
+def holder_exponent(s: RationalLike) -> HolderReport:
     """Exact exponent report at a rational parameter in [0,1].
 
     The preperiod of the expansion is irrelevant to the exponent and is
@@ -230,7 +228,7 @@ def holder_exponent(s: RationalLike, width: float = 1e-12) -> HolderReport:
     e = expand_auto(frac)
     n = len(e.period)
     t, sign = _period_sign(e.period)
-    lo, hi = alpha_enclosure(t, n, width=width, exclude_one=True)
+    lo, hi = alpha_enclosure(t, n)
     return HolderReport(
         s=frac, expansion=e, period=e.period, period_length=n, scaled_trace=t,
         alpha=0.5 * (lo + hi), alpha_lo=lo, alpha_hi=hi,
@@ -261,7 +259,8 @@ def _estimate(entries, n: int, norm: str) -> float:
 
 def exponent_estimate(bits: str, norm: str = "fro",
                       ns: Optional[Iterable[int]] = None) -> EstimateTrace:
-    """Exponent estimates from the restriction-norm of bit-prefix products.
+    """Exponent estimates from the restriction-norm of bit-prefix products,
+    at each prefix length in ns (every length by default).
 
     The integer matrices are exact; only the logarithm of the norm is taken
     in floating point, with the power-of-five scale handled additively.
@@ -269,9 +268,7 @@ def exponent_estimate(bits: str, norm: str = "fro",
     if not bits or set(bits) - {"0", "1"}:
         raise ValueError("bits must be a nonempty 0/1 word")
     if ns is None:
-        prefixes = accumulate(map(_LEAVES[1].__getitem__, map(int, bits)), _mul2)
-        return EstimateTrace(tuple((n, _estimate(m, n, norm))
-                                   for n, m in enumerate(prefixes, 1)), norm)
+        ns = range(1, len(bits) + 1)
     # fold only the stretch between consecutive wanted lengths
     points = []
     m, done = ((1, 0), (0, 1)), 0
@@ -370,16 +367,15 @@ def exponent_excludes_one(period: str) -> bool:
     return _period_sign(period)[1] != 0
 
 
-def generate_table(max_len: int, dedupe_complement: bool = True,
-                   cap: int = TABLE_LENGTH_CAP) -> list[HolderReport]:
+def generate_table(max_len: int, dedupe_complement: bool = True) -> list[HolderReport]:
     """Exponent reports for every necklace class of period length <= max_len.
 
     Sorted by exponent descending, ties broken by parameter ascending.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    if max_len > cap:
-        raise TableCapExceeded(f"max_len {max_len} exceeds cap {cap}")
+    if max_len > TABLE_LENGTH_CAP:
+        raise TableCapExceeded(f"max_len {max_len} exceeds cap {TABLE_LENGTH_CAP}")
     reports = []
     for length in range(1, max_len + 1):
         for word in necklace_classes(length, dedupe_complement):

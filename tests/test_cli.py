@@ -485,6 +485,15 @@ def test_long_parameters_print_in_full(capsys, long_integers):
     assert [Fraction(c) for c in form["form"]] == [Fraction(1, 10 ** 4300), 0, 1]
 
 
+def test_digit_limit_is_restored_after_every_command(capsys):
+    limit = sys.get_int_max_str_digits()
+    for argv, want in ((("exponent", "1/3"), 0), (("direction", "1", "--side", "right"), 3),
+                       (("exponent", "1/" + "7" * 4400), 2)):
+        code, _, err = run(capsys, *argv)
+        assert code == want, (argv, err)
+        assert sys.get_int_max_str_digits() == limit, argv
+
+
 def test_periods_above_the_cap_exit_3():
     # 2 has order 4 * 5**4299 modulo 5**4300; finding it takes seconds, so the
     # three commands run side by side
@@ -507,6 +516,11 @@ def test_negative_precision_is_a_usage_error(capsys):
         assert code == 2 and out == "" and "--precision: must be >= 0, got -2" in err, argv
     code, out, _ = run(capsys, "exponent", "1/3", "--precision", "0")
     assert code == 0 and out == "s=1/3 period=01 n=2 scaled_trace=7 alpha=1 class=zero\n"
+    # commands without numeric text output take no --precision
+    for argv in (("classify", "1/3", "phi"), ("direction", "1/3"),
+                 ("render", "curve", "--out", os.devnull), ("experiment", "maxrun")):
+        code, out, err = run(capsys, *argv, "--precision", "3")
+        assert code == 2 and out == "" and "unrecognized arguments: --precision 3" in err, argv
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from sgharm.cli import main
 from sgharm.exact import (
     DIFFERENCE_CONE,
     Vec3Q,
@@ -304,17 +305,22 @@ def test_interior_degree_is_four():
             assert len(around) == 4
 
 
-def test_grid_cap():
+def test_grid_cap(tmp_path, capsys, monkeypatch):
     with pytest.raises(GridCapExceeded):
         harmonic_grid(VECTOR_BOUNDARY, 5, cap=4)
-    import os
-    os.environ["HARMONIC_GRID_CAP"] = "3"
-    try:
-        with pytest.raises(GridCapExceeded):
-            harmonic_grid(VECTOR_BOUNDARY, 4)
-        harmonic_grid(VECTOR_BOUNDARY, 3)
-    finally:
-        del os.environ["HARMONIC_GRID_CAP"]
+    harmonic_grid(VECTOR_BOUNDARY, 4, cap=4)
+    # the library reads no environment; HARMONIC_GRID_CAP is the CLI's
+    monkeypatch.setenv("HARMONIC_GRID_CAP", "3")
+    assert harmonic_grid(VECTOR_BOUNDARY, 4).level == 4
+    argv = ["render", "triangle", "--level", "4", "--out", str(tmp_path / "t.svg")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: level 4 exceeds grid cap 3\n"
+    assert main(argv[:3] + ["3"] + argv[4:]) == 0
+    monkeypatch.setenv("HARMONIC_GRID_CAP", "abc")
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: invalid literal for int() with base 10: 'abc'\n"
+    monkeypatch.setenv("HARMONIC_GRID_CAP", "")
+    assert main(argv) == 0
 
 
 def test_grid_exports():

@@ -256,6 +256,94 @@ def test_enclosure_ignores_the_global_mpmath_precision():
     assert want[0] == (1.0499752744276936, 1.049975274427694)
 
 
+def iv_enclosure(t, n, width=1e-12):
+    """The exponent enclosure on mpmath's iv context, which sets the global
+    iv.prec: the reference for alpha_enclosure's raw interval functions."""
+    from mpmath import iv
+    from mpmath.libmp import round_nearest, to_float
+
+    tn, tk = _over_power_of_5(t, n)
+    dn, dk = _over_power_of_5(t * t - 4 * 3 ** n, 2 * n)
+    prec = 64
+    while True:
+        saved = iv.prec
+        try:
+            iv.prec = prec
+            trace = iv.mpf(tn) / iv.mpf(5 ** tk)
+            lam = (trace + iv.sqrt(iv.mpf(dn) / iv.mpf(5 ** dk))) / 2
+            ok = lam.a > 0
+            if ok:
+                alpha = iv.log(lam) / (n * iv.log(iv.mpf(0.5)))
+                a, b = alpha._mpi_
+                lo = math.nextafter(to_float(a, rnd=round_nearest), -math.inf)
+                hi = math.nextafter(to_float(b, rnd=round_nearest), math.inf)
+        finally:
+            iv.prec = saved
+        if ok and hi - lo <= width and not lo <= 1.0 <= hi:
+            return lo, hi
+        prec *= 2
+        if prec > 1 << 15:
+            raise ArithmeticError("exponent enclosure did not converge")
+
+
+def _enclosure_or_error(f, t, n, width):
+    try:
+        return f(t, n, width)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def test_enclosure_matches_the_iv_reference(monkeypatch):
+    import mpmath.libmp
+
+    rng = random.Random(20261019)
+    words = [w for n in range(1, 17) for w in lyndon_words(n)]
+    words += ["".join(rng.choice("01") for _ in range(rng.randrange(200, 3001)))
+              for _ in range(20)]
+    for word in words:
+        t, n = _period_sign(word)[0], len(word)
+        assert alpha_enclosure(t, n) == iv_enclosure(t, n), word
+    # widths near two ulps escalate the precision, and 1e-17 never converges
+    from_int, precs = mpmath.libmp.from_int, []
+
+    def recorded(x, prec, rnd):
+        precs.append(prec)
+        return from_int(x, prec, rnd)
+
+    monkeypatch.setattr(mpmath.libmp, "from_int", recorded)
+    short = [w for n in range(1, 13) for w in lyndon_words(n)]
+    escalated = {}
+    for width, cases in ((1e-15, short), (7e-16, short), (5e-16, short),
+                         (1e-17, short[:4])):
+        escalated[width] = 0
+        for word in cases:
+            t, n = _period_sign(word)[0], len(word)
+            precs.clear()
+            got = _enclosure_or_error(alpha_enclosure, t, n, width)
+            escalated[width] += max(precs) > 64
+            assert got == _enclosure_or_error(iv_enclosure, t, n, width), (word, width)
+            assert (width == 1e-17) == (got[0] is ArithmeticError), (word, width)
+    assert escalated == {1e-15: 0, 7e-16: 0, 5e-16: 4, 1e-17: 4}
+
+
+def test_enclosure_writes_no_mpmath_context(monkeypatch):
+    from mpmath import iv, mp
+
+    def refuse(ctx, value):
+        raise AssertionError("the enclosure wrote a global mpmath precision")
+
+    # the second case raises the precision once
+    cases = [(_period_sign(w)[0], len(w), width)
+             for w, width in (("001", 1e-12), ("000010111011", 5e-16))]
+    want = [iv_enclosure(*case) for case in cases]
+    for ctx in (iv, mp):
+        for name in ("prec", "dps"):
+            monkeypatch.setattr(type(ctx), name,
+                                property(getattr(type(ctx), name).fget, refuse))
+    assert [alpha_enclosure(*case) for case in cases] == want
+    assert want[0] == (1.0499752744276936, 1.049975274427694)
+
+
 def test_product_sign_matches_the_product():
     # the bit lengths decide only when they are two or more apart
     triples = [(a, b, c) for a in range(1, 40) for b in range(1, 40) for c in range(1, 1700, 7)]
