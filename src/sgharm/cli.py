@@ -30,7 +30,6 @@ from .harmonic import (
     truncated_curve_value,
 )
 from .holder import (
-    TABLE_CSV_HEADER,
     DerivativeClass,
     TableCapExceeded,
     classify_form,
@@ -180,8 +179,7 @@ def cmd_exponent(args) -> int:
     if args.format == "json":
         _emit(json.dumps(report.to_dict()))
     elif args.format == "csv":
-        _emit(",".join(TABLE_CSV_HEADER))
-        _emit(",".join(report.csv_row()))
+        sys.stdout.write(table_csv([report]))
     else:
         d = args.precision
         _emit(f"s={report.s} period={report.period} n={report.period_length} "

@@ -159,11 +159,6 @@ class ScaledIntMat3:
             (e[2][0] * v.x + e[2][1] * v.y + e[2][2] * v.z) / den,
         )
 
-    def fractions(self) -> tuple[tuple[Fraction, ...], ...]:
-        den = self.denominator
-        return tuple(tuple(Fraction(v, den) for v in row) for row in self.entries)
-
-
 _GEN3 = {
     "0": ScaledIntMat3(((5, 2, 2), (0, 2, 1), (0, 1, 2)), 1),
     "1": ScaledIntMat3(((2, 0, 1), (2, 5, 2), (1, 0, 2)), 1),
@@ -548,7 +543,7 @@ class Expansion:
         return f"0.{self.preperiod}({self.period})"
 
     @classmethod
-    def parse(cls, text: str, variant: ExpansionVariant = ExpansionVariant.UPPER) -> "Expansion":
+    def parse(cls, text: str) -> "Expansion":
         body = text.strip()
         if not body.startswith("0."):
             raise ValueError(f"expansion must start with '0.': {text!r}")
@@ -557,8 +552,8 @@ class Expansion:
             pre, _, rest = body.partition("(")
             if not rest.endswith(")"):
                 raise ValueError(f"unbalanced parentheses in {text!r}")
-            return cls(pre, rest[:-1], variant)
-        return cls(body.rstrip("0"), "0", variant)
+            return cls(pre, rest[:-1])
+        return cls(body.rstrip("0"), "0")
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -643,15 +638,11 @@ def expand(s: RationalLike, variant: ExpansionVariant = ExpansionVariant.UPPER) 
     return Expansion(pre, format(period_int, f"0{k}b"), variant)
 
 
-def expand_auto(s: RationalLike, preferred: ExpansionVariant = ExpansionVariant.UPPER) -> Expansion:
-    """expand() in the other variant at the endpoint the preferred one lacks:
-    1 for the upper expansion, 0 for the lower one."""
+def expand_auto(s: RationalLike) -> Expansion:
+    """expand() in the upper variant, or in the lower one at 1, which has no
+    upper expansion."""
     s = Fraction(s)
-    if preferred is ExpansionVariant.UPPER and s == 1:
-        preferred = ExpansionVariant.LOWER
-    elif preferred is ExpansionVariant.LOWER and s == 0:
-        preferred = ExpansionVariant.UPPER
-    return expand(s, preferred)
+    return expand(s, ExpansionVariant.LOWER if s == 1 else ExpansionVariant.UPPER)
 
 
 def expansion_value(e: Expansion) -> Fraction:
@@ -662,7 +653,7 @@ def expansion_value(e: Expansion) -> Fraction:
 # Word combinatorics
 
 
-def lyndon_words(length: int, alphabet: str = "01") -> Iterator[str]:
+def lyndon_words(length: int) -> Iterator[str]:
     """All Lyndon words of exactly the given length, lexicographically (Duval)."""
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -671,10 +662,10 @@ def lyndon_words(length: int, alphabet: str = "01") -> Iterator[str]:
         w[-1] += 1
         m = len(w)
         if m == length:
-            yield "".join(alphabet[c] for c in w)
+            yield "".join(map(str, w))
         while len(w) < length:
             w.append(w[-m])
-        while w and w[-1] == len(alphabet) - 1:
+        while w and w[-1] == 1:
             w.pop()
 
 

@@ -7,8 +7,6 @@ harmonic grids on the level-n vertex graphs.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -136,10 +134,9 @@ def approx_error_bound(terms: int) -> float:
     return bound if bound > 0.0 else 5e-324
 
 
-def curve_point(s: Union[Expansion, RationalLike], terms: int = 48,
-                start: Vec3Q = CENTROID) -> ApproxPoint:
+def curve_point(s: Union[Expansion, RationalLike], terms: int = 48) -> ApproxPoint:
     """Certified approximation of the curve at any parameter in [0,1]."""
-    v = truncated_curve_value(s, terms, start)
+    v = truncated_curve_value(s, terms)
     return ApproxPoint(v.floats(), approx_error_bound(terms))
 
 
@@ -240,17 +237,13 @@ class HarmonicGrid:
 
     def to_csv(self) -> str:
         m, labels, flat = self._lattice()
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if isinstance(next(iter(self.values.values())), Vec3Q):
-            writer.writerow(["x", "y", "value_x", "value_y", "value_z"])
-            writer.writerows([labels[p // m], labels[p % m], str(v.x), str(v.y), str(v.z)]
-                             for p, v in enumerate(flat) if v is not None)
-        else:
-            writer.writerow(["x", "y", "value"])
-            writer.writerows([labels[p // m], labels[p % m], str(v)]
-                             for p, v in enumerate(flat) if v is not None)
-        return buf.getvalue()
+        vector = isinstance(next(iter(self.values.values())), Vec3Q)
+        # labels and exact values hold only digits, '-' and '/', which no CSV
+        # field needs quoted
+        lines = ["x,y,value_x,value_y,value_z" if vector else "x,y,value"]
+        lines += [",".join((labels[p // m], labels[p % m], *map(str, v.coords if vector else (v,))))
+                  for p, v in enumerate(flat) if v is not None]
+        return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         m, labels, flat = self._lattice()

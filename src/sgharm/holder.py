@@ -50,7 +50,6 @@ class DerivativeClass(Enum):
     ZERO = "zero"
     INFINITE = "infinite"
     EXCEPTIONAL = "exceptional"
-    UNDETERMINED = "undetermined"
 
 
 @dataclass(frozen=True)
@@ -379,8 +378,7 @@ def generate_table(max_len: int, dedupe_complement: bool = True) -> list[HolderR
     reports = []
     for length in range(1, max_len + 1):
         for word in necklace_classes(length, dedupe_complement):
-            s = Expansion("", word).value() if word != "1" else Fraction(1)
-            reports.append(holder_exponent(s))
+            reports.append(holder_exponent(Expansion("", word).value()))
     reports.sort(key=lambda r: (-r.alpha, r.s))
     return reports
 

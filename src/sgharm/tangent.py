@@ -69,7 +69,6 @@ class ProjDir:
     """Chart coordinate of a direction, with a certified error radius."""
 
     chart: Fraction
-    exact: bool
     error: Optional[Fraction] = None
     source: Union[Expansion, Fraction, None] = None
     side: Optional[Side] = None
@@ -161,7 +160,7 @@ def direction_at(s: Union[Expansion, RationalLike], side: Side = Side.RIGHT,
     bits = s.bits(n) if given and s.variant is variant else _prefix_bits(frac, n, variant)
     chart = _moebius(projective_word_matrix(bits), Fraction(0))
     err = CHART_DIAMETER * CONTRACTION_FACTOR ** n
-    return ProjDir(chart=chart, exact=False, error=err, source=s if given else frac, side=side)
+    return ProjDir(chart=chart, error=err, source=s if given else frac, side=side)
 
 
 def _chart_fixed_point(m: Mat2i, preperiod: str) -> tuple[int, int, int, int]:
@@ -175,23 +174,20 @@ def _chart_fixed_point(m: Mat2i, preperiod: str) -> tuple[int, int, int, int]:
     the edge products through exact._to_chart, up to a positive scale.
     """
     (p, q), (r, s) = _to_chart(m)
-    if r == 0:
-        if p == s:
-            raise ValueError("projective map is the identity")
-        u, w, R, D = q, 1, s - p, 0
-    else:
-        # fixed points of x -> (p*x + q) / (r*x + s): (p - s +- sqrt(D)) / (2*r)
-        D = (s - p) ** 2 + 4 * r * q
-        if D < 0:
-            raise ValueError("projective map has no real fixed point")
-        u, R = (p - s, 2 * r) if r > 0 else (s - p, -2 * r)
-        # with R > 0, -1/3 <= (u + w*sqrt(D)) / R <= 1/3 is a sign test on
-        # each of 3*u + R + 3*w*sqrt(D) and 3*u - R + 3*w*sqrt(D)
-        inside = [w for w in (1, -1)
-                  if quad_sign(3 * u + R, 3 * w, D) >= 0 >= quad_sign(3 * u - R, 3 * w, D)]
-        if len(inside) != 1:
-            raise ValueError("expected exactly one fixed point in the chart interval")
-        w, = inside
+    # fixed points of x -> (p*x + q) / (r*x + s): (p - s +- sqrt(D)) / (2*r);
+    # r != 0: each chart letter maps infinity and [-1, 1] into [-1, 1], and
+    # the swap of a W + complement(W) period fixes infinity
+    D = (s - p) ** 2 + 4 * r * q
+    if D < 0:
+        raise ValueError("projective map has no real fixed point")
+    u, R = (p - s, 2 * r) if r > 0 else (s - p, -2 * r)
+    # with R > 0, -1/3 <= (u + w*sqrt(D)) / R <= 1/3 is a sign test on
+    # each of 3*u + R + 3*w*sqrt(D) and 3*u - R + 3*w*sqrt(D)
+    inside = [w for w in (1, -1)
+              if quad_sign(3 * u + R, 3 * w, D) >= 0 >= quad_sign(3 * u - R, 3 * w, D)]
+    if len(inside) != 1:
+        raise ValueError("expected exactly one fixed point in the chart interval")
+    w, = inside
     if preperiod:
         (a, b), (c, d) = _to_chart(edge_word_matrix(preperiod).entries)
         n0, n1, d0, d1 = a * u + b * R, a * w, c * u + d * R, c * w

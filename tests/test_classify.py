@@ -20,8 +20,6 @@ def _reference(form, s):
     verdict = kernel_test(form, direction_at_rational(s))
     if verdict is KernelVerdict.IN_KERNEL:
         return DerivativeClass.EXCEPTIONAL
-    if verdict is KernelVerdict.UNDETERMINED:
-        return DerivativeClass.UNDETERMINED
     return classify_curve(s)
 
 

@@ -21,6 +21,10 @@ from sgharm.exact import (
     quad_sign,
     restrict_to_plane,
     word_product,
+    _SWAP,
+    _fold2,
+    _mul2,
+    _to_chart,
 )
 from sgharm.harmonic import FORM_PRESETS, LinearForm, curve_point
 from sgharm.tangent import (
@@ -252,6 +256,17 @@ def test_exact_direction_satisfies_moebius_fixed_point():
         sq = (p * p + w * w * qd.chart.d, 2 * p * w)
         expr = (rr * sq[0] + (ss - pp) * p - qq, rr * sq[1] + (ss - pp) * w)
         assert expr == (0, 0)
+
+
+def test_period_maps_move_infinity():
+    # every chart letter maps infinity and [-1, 1] into [-1, 1], and the swap
+    # is diag(1, -1) in the chart, so no period map F or F @ _SWAP has a
+    # chart with r == 0, the case that would send infinity to itself
+    for n in range(1, 13):
+        for bits in range(1 << n):
+            f = _fold2(format(bits, f"0{n}b"))
+            assert _to_chart(f)[1][0] != 0
+            assert _to_chart(_mul2(f, _SWAP))[1][0] != 0
 
 
 # ---------------------------------------------------------------------------
