@@ -24,10 +24,9 @@ from .harmonic import (
     GridCapExceeded,
     LinearForm,
     VECTOR_BOUNDARY,
-    approx_error_bound,
+    curve_point,
     curve_point_dyadic,
     harmonic_grid,
-    truncated_curve_value,
 )
 from .holder import (
     DerivativeClass,
@@ -162,15 +161,13 @@ def cmd_eval(args) -> int:
         else:
             _emit(" ".join(str(c) for c in v.coords))
         return 0
-    v = truncated_curve_value(s, args.terms)
-    bound = approx_error_bound(args.terms)
-    floats = v.floats()
+    ap = curve_point(s, args.terms)
     if args.format == "json":
-        _emit(json.dumps({"s": str(s), "exact": False, "value": list(floats),
-                          "error_bound": bound, "terms": args.terms}))
+        _emit(json.dumps({"s": str(s), "exact": False, "value": list(ap.value),
+                          "error_bound": ap.error_bound, "terms": args.terms}))
     else:
-        _emit(" ".join(_fmt(c, digits) for c in floats)
-              + f"  error<={_fmt(bound, 3)}")
+        _emit(" ".join(_fmt(c, digits) for c in ap.value)
+              + f"  error<={_fmt(ap.error_bound, 3)}")
     return 0
 
 
@@ -245,7 +242,7 @@ def cmd_table(args) -> int:
 
 def cmd_direction(args) -> int:
     s = args.s
-    side = Side.RIGHT if args.side == "right" else Side.LEFT
+    side = Side(args.side)
     out: dict = {"s": str(s), "side": side.value}
     if args.exact:
         qd = direction_at_rational(s, side)

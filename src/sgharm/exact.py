@@ -500,11 +500,11 @@ def _is_primitive(word: str) -> bool:
 
 @dataclass(frozen=True)
 class Expansion:
-    """Eventually periodic binary expansion 0.preperiod(period)."""
+    """Eventually periodic binary expansion 0.preperiod(period); at a dyadic,
+    the period "0" or "1" says whether it is the upper or the lower one."""
 
     preperiod: str
     period: str
-    variant: ExpansionVariant = ExpansionVariant.UPPER
 
     def __post_init__(self):
         word = self.preperiod + self.period
@@ -629,13 +629,13 @@ def expand(s: RationalLike, variant: ExpansionVariant = ExpansionVariant.UPPER) 
     pre = _prefix_bits(s, a, variant)
     m = q >> a
     if m == 1:
-        return Expansion(pre, "0" if variant is ExpansionVariant.UPPER else "1", variant)
+        return Expansion(pre, "0" if variant is ExpansionVariant.UPPER else "1")
     k = _mult_order_2(m)
     if k > PERIOD_CAP:
         raise ValueError(f"period of at least 2**{k.bit_length() - 1} letters exceeds "
                          f"the cap {PERIOD_CAP}")
     period_int = s.numerator % m * ((1 << k) - 1) // m
-    return Expansion(pre, format(period_int, f"0{k}b"), variant)
+    return Expansion(pre, format(period_int, f"0{k}b"))
 
 
 def expand_auto(s: RationalLike) -> Expansion:

@@ -103,7 +103,6 @@ class EstimateTrace:
     """Exponent estimates read off finite prefixes of a bit stream."""
 
     points: tuple[tuple[int, float], ...]
-    norm: str
 
     def final(self) -> float:
         return self.points[-1][1]
@@ -243,23 +242,14 @@ def _ln_big(x: int) -> float:
     return math.log(x >> shift) + shift * LN2
 
 
-def _ln_norm(entries, norm: str) -> float:
-    vals = [entries[0][0], entries[0][1], entries[1][0], entries[1][1]]
-    if norm == "fro":
-        return 0.5 * _ln_big(sum(v * v for v in vals))
-    if norm == "max":
-        return _ln_big(max(abs(v) for v in vals))
-    raise ValueError(f"unknown norm {norm!r}")
+def _estimate(entries, n: int) -> float:
+    (a, b), (c, d) = entries
+    return (n * LN5 - 0.5 * _ln_big(a * a + b * b + c * c + d * d)) / (n * LN2)
 
 
-def _estimate(entries, n: int, norm: str) -> float:
-    return (n * LN5 - _ln_norm(entries, norm)) / (n * LN2)
-
-
-def exponent_estimate(bits: str, norm: str = "fro",
-                      ns: Optional[Iterable[int]] = None) -> EstimateTrace:
-    """Exponent estimates from the restriction-norm of bit-prefix products,
-    at each prefix length in ns (every length by default).
+def exponent_estimate(bits: str, ns: Optional[Iterable[int]] = None) -> EstimateTrace:
+    """Exponent estimates from the Frobenius norm of the restrictions of
+    bit-prefix products, at each prefix length in ns (every length by default).
 
     The integer matrices are exact; only the logarithm of the norm is taken
     in floating point, with the power-of-five scale handled additively.
@@ -273,9 +263,9 @@ def exponent_estimate(bits: str, norm: str = "fro",
     m, done = ((1, 0), (0, 1)), 0
     for n in sorted({n for n in ns if 1 <= n <= len(bits)}):
         m = _mul2(m, _fold_bits(int(bits[done:n], 2), n - done))
-        points.append((n, _estimate(m, n, norm)))
+        points.append((n, _estimate(m, n)))
         done = n
-    return EstimateTrace(tuple(points), norm)
+    return EstimateTrace(tuple(points))
 
 
 def _mat_power(m, k: int):
@@ -289,8 +279,7 @@ def _mat_power(m, k: int):
     return out
 
 
-def estimate_at_bits(preperiod: str, period: str, nbits: int,
-                     norm: str = "fro") -> float:
+def estimate_at_bits(preperiod: str, period: str, nbits: int) -> float:
     """Single estimate at exactly nbits letters of preperiod + period-cycle.
 
     Equivalent to exponent_estimate on the expanded word but computed by
@@ -308,7 +297,7 @@ def estimate_at_bits(preperiod: str, period: str, nbits: int,
         q, r = divmod(rest, len(period))
         m = _mul2(m, _mat_power(f, q * (len(period) // h)))
         m = _mul2(m, _fold2(period[:r]))
-    return _estimate(m, nbits, norm)
+    return _estimate(m, nbits)
 
 
 def classify_curve(s: RationalLike) -> DerivativeClass:
@@ -397,6 +386,8 @@ def maxrun_experiment(max_len: int) -> list[tuple[str, float, bool]]:
     vanishing derivative; nothing here is a proof.  Lengths above
     TABLE_LENGTH_CAP raise TableCapExceeded.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     if max_len > TABLE_LENGTH_CAP:
         raise TableCapExceeded(f"max_len {max_len} exceeds cap {TABLE_LENGTH_CAP}")
     rows = []
@@ -421,7 +412,7 @@ def lyapunov_sample(nbits: int, trials: int, seed: int) -> dict:
     rng = random.Random(seed)
     estimates = []
     for _ in range(trials):
-        estimates.append(_estimate(_fold_bits(rng.getrandbits(nbits), nbits), nbits, "fro"))
+        estimates.append(_estimate(_fold_bits(rng.getrandbits(nbits), nbits), nbits))
     above = sum(e > 1.0 for e in estimates)
     return {
         "nbits": nbits,

@@ -66,12 +66,13 @@ class KernelVerdict(Enum):
 
 @dataclass(frozen=True)
 class ProjDir:
-    """Chart coordinate of a direction, with a certified error radius."""
+    """Chart coordinate of a direction within a certified error radius, and
+    the parameter and side it was computed at, from which it can be refined."""
 
     chart: Fraction
-    error: Optional[Fraction] = None
-    source: Union[Expansion, Fraction, None] = None
-    side: Optional[Side] = None
+    error: Fraction
+    source: Fraction
+    side: Side
 
 
 @dataclass(frozen=True)
@@ -152,15 +153,13 @@ def _side_variant(frac: Fraction, side: Side) -> ExpansionVariant:
 
 def direction_at(s: Union[Expansion, RationalLike], side: Side = Side.RIGHT,
                  tol: Union[float, Fraction] = Fraction(1, 10 ** 9)) -> ProjDir:
-    """One-sided direction chart within tol, by iterating the projective maps."""
-    given = isinstance(s, Expansion)
-    frac = s.value() if given else Fraction(s)
+    """One-sided direction chart within tol, by iterating the projective maps
+    on the letters of the side's expansion of s, or of s.value()."""
+    frac = s.value() if isinstance(s, Expansion) else Fraction(s)
     variant = _side_variant(frac, side)
     n = _iterations_for(Fraction(tol))
-    bits = s.bits(n) if given and s.variant is variant else _prefix_bits(frac, n, variant)
-    chart = _moebius(projective_word_matrix(bits), Fraction(0))
-    err = CHART_DIAMETER * CONTRACTION_FACTOR ** n
-    return ProjDir(chart=chart, error=err, source=s if given else frac, side=side)
+    chart = _moebius(projective_word_matrix(_prefix_bits(frac, n, variant)), Fraction(0))
+    return ProjDir(chart, CHART_DIAMETER * CONTRACTION_FACTOR ** n, frac, side)
 
 
 def _chart_fixed_point(m: Mat2i, preperiod: str) -> tuple[int, int, int, int]:
@@ -253,10 +252,9 @@ def kernel_test(form: LinearForm, direction: Union[QuadDir, ProjDir]) -> KernelV
         hi = A + B * pd.chart + abs(B) * pd.error
         if lo > 0 or hi < 0:
             return KernelVerdict.NOT_IN_KERNEL
-        if pd.source is None or pd.error <= MAX_REFINE_ERROR:
+        if pd.error <= MAX_REFINE_ERROR:
             return KernelVerdict.UNDETERMINED
-        pd = direction_at(pd.source, pd.side or Side.RIGHT,
-                          tol=max(pd.error / 1024, MAX_REFINE_ERROR))
+        pd = direction_at(pd.source, pd.side, tol=max(pd.error / 1024, MAX_REFINE_ERROR))
 
 
 def direction_vector(direction) -> tuple[float, float, float]:

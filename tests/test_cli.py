@@ -88,7 +88,7 @@ def test_eval_terms_cap(capsys, monkeypatch):
 
     code, out, _ = run(capsys, "eval", "1/3", "-n", str(EVAL_TERMS_CAP), "--format", "json")
     assert code == 0 and json.loads(out)["error_bound"] == 5e-324
-    monkeypatch.setattr(sgharm.cli, "truncated_curve_value", no_work)
+    monkeypatch.setattr(sgharm.cli, "curve_point", no_work)
     monkeypatch.setattr(sgharm.cli, "curve_point_dyadic", no_work)
     for s in ("1/3", "1/2"):
         code, _, err = run(capsys, "eval", s, "-n", str(EVAL_TERMS_CAP + 1))
@@ -651,6 +651,10 @@ def test_experiment_maxrun_cap(capsys, monkeypatch):
     monkeypatch.setattr(sgharm.holder, "necklace_classes", no_work)
     code, out, err = run(capsys, "experiment", "maxrun", "--max-len", "21")
     assert code == 3 and out == "" and "exceeds cap 20" in err
+    # no lengths is no experiment, as for `table`
+    for n in ("0", "-3"):
+        code, out, err = run(capsys, "experiment", "maxrun", "--max-len", n)
+        assert code == 3 and out == "" and "max_len must be >= 1" in err
 
 
 def test_experiment_lyapunov_reproducible(capsys):

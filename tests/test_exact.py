@@ -365,6 +365,9 @@ def test_expansion_serialization_round_trip():
     e = expand(Fraction(11, 24))
     assert str(e) == f"0.{e.preperiod}({e.period})"
     assert Expansion.parse(str(e)) == e
+    # the letters are the whole expansion: the lower one of a dyadic, read
+    # back from its text, is the lower expansion
+    assert Expansion.parse("0.0(1)") == expand(Fraction(1, 2), LOWER)
 
 
 def _long_division_oracle(p, q):
@@ -391,6 +394,8 @@ def test_expand_against_long_division():
             continue
         e = expand(s)
         assert (e.preperiod, e.period) == _long_division_oracle(s.numerator, s.denominator)
+        # off the dyadics both variants have the same letters, so they are equal
+        assert expand(s, LOWER) == e
 
 
 def test_expand_round_trip_large():

@@ -185,12 +185,10 @@ def test_lyapunov_sample_is_unchanged(nbits, trials, seed):
 ])
 def test_estimate_at_wanted_lengths_filters_the_prefix_trace(ns):
     bits = seeded_word(random.Random(47), 300)
-    for norm in ("fro", "max"):
-        every = exponent_estimate(bits, norm).points
-        assert every == tuple((n, _estimate(reference_fold(bits[:n]), n, norm))
-                              for n in range(1, 301))
-        assert exponent_estimate(bits, norm, ns=ns).points == \
-            tuple(p for p in every if p[0] in set(ns)), ns
+    every = exponent_estimate(bits).points
+    assert every == tuple((n, _estimate(reference_fold(bits[:n]), n)) for n in range(1, 301))
+    assert exponent_estimate(bits, ns=ns).points == \
+        tuple(p for p in every if p[0] in set(ns)), ns
 
 
 def _long_period_rationals(count):

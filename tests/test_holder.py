@@ -413,15 +413,6 @@ def test_estimate_fast_path_matches_sequential():
                 assert estimate_at_bits(pre, period, nbits) == seq, (pre, period, nbits)
 
 
-def test_norm_independence():
-    bits = "0110010101" * 40
-    fro = exponent_estimate(bits, norm="fro")
-    mx = exponent_estimate(bits, norm="max")
-    for (n1, a), (n2, b) in zip(fro.points, mx.points):
-        assert n1 == n2
-        assert abs(a - b) <= 2 / n1
-
-
 def test_estimate_validation():
     with pytest.raises(ValueError):
         exponent_estimate("")
@@ -429,8 +420,6 @@ def test_estimate_validation():
         exponent_estimate("012")
     with pytest.raises(ValueError):
         estimate_at_bits("", "01", 0)
-    with pytest.raises(ValueError):
-        exponent_estimate("01", norm="nuclear")
 
 
 # ---------------------------------------------------------------------------

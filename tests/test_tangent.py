@@ -362,17 +362,23 @@ def test_exact_matches_iterative():
 
 
 def test_rational_and_expansion_arguments_agree():
-    # a rational is read by long division, an Expansion by its own letters;
-    # at dyadics the left side must read the expansion ending in ones
-    sides = ((Side.RIGHT, ExpansionVariant.UPPER), (Side.LEFT, ExpansionVariant.LOWER))
+    # an Expansion is read by its value, so at a dyadic either expansion, also
+    # one rebuilt from its letters, gives the rational's direction on each side
+    tol = Fraction(1, 10 ** 6)
     for s in sorted({Fraction(p, q) for q in range(1, 33) for p in range(q + 1)}):
         assert curve_point(s, 20) == curve_point(expand_auto(s), 20)
-        for side, variant in sides:
+        expansions = [expand(s, variant) for variant in ExpansionVariant
+                      if (variant, s) not in ((ExpansionVariant.UPPER, 1),
+                                              (ExpansionVariant.LOWER, 0))]
+        expansions += [Expansion.parse(str(e)) for e in expansions]
+        for side in Side:
             if (side is Side.RIGHT and s == 1) or (side is Side.LEFT and s == 0):
                 continue
-            got = direction_at(s, side, tol=Fraction(1, 10 ** 6))
-            want = direction_at(expand(s, variant), side, tol=Fraction(1, 10 ** 6))
-            assert (got.chart, got.error) == (want.chart, want.error), (s, side)
+            got = direction_at(s, side, tol=tol)
+            for e in expansions:
+                want = direction_at(e, side, tol=tol)
+                assert (want.chart, want.error, want.source) == (got.chart, got.error, s), \
+                    (s, side, str(e))
 
 
 def test_two_sides_agree_at_nondyadic():
