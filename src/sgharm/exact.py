@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -638,15 +639,33 @@ def expand(s: RationalLike, variant: ExpansionVariant = ExpansionVariant.UPPER) 
     return Expansion(pre, format(period_int, f"0{k}b"))
 
 
+def _auto_variant(s: Fraction) -> ExpansionVariant:
+    """The upper variant, or the lower one at 1, which has no upper expansion."""
+    return ExpansionVariant.LOWER if s == 1 else ExpansionVariant.UPPER
+
+
 def expand_auto(s: RationalLike) -> Expansion:
     """expand() in the upper variant, or in the lower one at 1, which has no
     upper expansion."""
     s = Fraction(s)
-    return expand(s, ExpansionVariant.LOWER if s == 1 else ExpansionVariant.UPPER)
+    return expand(s, _auto_variant(s))
 
 
 def expansion_value(e: Expansion) -> Fraction:
     return e.value()
+
+
+# Holds the two one-sided expansions of one point, so that the exponent, the
+# classes and the exact tangent asked in turn at one rational expand and fold
+# once.  Each value is immutable and exceptions are not cached, so no answer
+# depends on the memo; it must stay smaller than the number of rationals in
+# any repeated batch of queries, or a batch's second pass reads stored
+# results instead of computing them.
+@lru_cache(maxsize=2)
+def _rational_period(s: Fraction, variant: ExpansionVariant) -> tuple[Expansion, Mat2i, int]:
+    """(e, F, h): expand(s, variant) and the _period_map of its period."""
+    e = expand(s, variant)
+    return (e, *_period_map(e.period))
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +688,11 @@ def lyndon_words(length: int) -> Iterator[str]:
             w.pop()
 
 
+_COMPLEMENT = str.maketrans("01", "10")
+
+
 def complement_word(word: str) -> str:
-    return word.translate(str.maketrans("01", "10"))
+    return word.translate(_COMPLEMENT)
 
 
 def min_rotation(word: str) -> str:

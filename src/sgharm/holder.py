@@ -21,14 +21,15 @@ from .exact import (
     Mat2i,
     QuadraticValue,
     RationalLike,
-    expand_auto,
     max_cyclic_run,
     necklace_classes,
     transition_density,
+    _auto_variant,
     _fold2,
     _fold_bits,
     _mul2,
     _period_map,
+    _rational_period,
 )
 from .harmonic import LinearForm
 from .tangent import _chart_fixed_point, _in_kernel
@@ -197,17 +198,29 @@ def _exponent_sign(m: Mat2i, h: int) -> tuple[int, int]:
     return tr, sign if k > 0 else -sign
 
 
-def _period_sign(period: str) -> tuple[int, int]:
-    """Scaled trace t and the exact sign of lam - 2**-n, in integers only.
+def _trace_sign(m: Mat2i, h: int, n: int) -> tuple[int, int]:
+    """Scaled trace t of an n-letter period and the exact sign of lam - 2**-n,
+    from its period map (F, h), in integers only.
 
     The period's edge restriction has determinant (3/25)**n, so its dominant
     eigenvalue is lam = (t + sqrt(t*t - 4*3**n)) / (2*5**n).  t is the trace
-    tr of the period map F, or tr*tr + 2*3**h, the trace of F**2, when F
-    covers half the period in h letters.
+    tr of F, or tr*tr + 2*3**h, the trace of F**2, when F covers half the
+    period in h letters.
     """
-    m, h = _period_map(period)
     tr, sign = _exponent_sign(m, h)
-    return (tr if h == len(period) else tr * tr + 2 * 3 ** h), sign
+    return (tr if h == n else tr * tr + 2 * 3 ** h), sign
+
+
+def _period_sign(period: str) -> tuple[int, int]:
+    """_trace_sign of a period word."""
+    return _trace_sign(*_period_map(period), len(period))
+
+
+def _auto_period(s: RationalLike) -> tuple[Expansion, Mat2i, int]:
+    """(e, F, h) for e = expand_auto(s), from exact's memo of expansions and
+    period maps."""
+    frac = Fraction(s)
+    return _rational_period(frac, _auto_variant(frac))
 
 
 def _derivative_class(sign: int) -> DerivativeClass:
@@ -223,9 +236,9 @@ def holder_exponent(s: RationalLike) -> HolderReport:
     dropped; only the period word enters.
     """
     frac = Fraction(s)
-    e = expand_auto(frac)
+    e, m, h = _auto_period(frac)
     n = len(e.period)
-    t, sign = _period_sign(e.period)
+    t, sign = _trace_sign(m, h, n)
     lo, hi = alpha_enclosure(t, n)
     return HolderReport(
         s=frac, expansion=e, period=e.period, period_length=n, scaled_trace=t,
@@ -306,7 +319,8 @@ def classify_curve(s: RationalLike) -> DerivativeClass:
     Zero iff the exponent exceeds 1, infinite iff it is below 1; the value 1
     itself cannot occur, so the verdict is always decided.
     """
-    return _derivative_class(_period_sign(expand_auto(s).period)[1])
+    _, m, h = _auto_period(s)
+    return _derivative_class(_exponent_sign(m, h)[1])
 
 
 def classify_form(form: LinearForm, s: RationalLike) -> DerivativeClass:
@@ -317,8 +331,7 @@ def classify_form(form: LinearForm, s: RationalLike) -> DerivativeClass:
     that of kernel_test on direction_at_rational(s), then classify_curve(s),
     from one expansion and one period map.
     """
-    e = expand_auto(s)
-    m, h = _period_map(e.period)
+    e, m, h = _auto_period(s)
     if _in_kernel(form, *_chart_fixed_point(m, e.preperiod)):
         return DerivativeClass.EXCEPTIONAL
     return _derivative_class(_exponent_sign(m, h)[1])

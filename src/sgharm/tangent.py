@@ -26,11 +26,10 @@ from .exact import (
     RationalLike,
     Vec3Q,
     edge_word_matrix,
-    expand,
     quad_sign,
     _chart_fold,
-    _period_map,
     _prefix_bits,
+    _rational_period,
     _to_chart,
 )
 from .harmonic import LinearForm
@@ -210,8 +209,8 @@ def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadD
         raise ValueError(f"{frac} is outside [0,1]")
     if side is None:
         side = Side.RIGHT if frac < 1 else Side.LEFT
-    e = expand(frac, _side_variant(frac, side))
-    u, w, R, D = _chart_fixed_point(_period_map(e.period)[0], e.preperiod)
+    e, m, _ = _rational_period(frac, _side_variant(frac, side))
+    u, w, R, D = _chart_fixed_point(m, e.preperiod)
     chart = QuadraticValue.from_pair(Fraction(u, R), Fraction(w, R), D)
     return QuadDir(chart=chart, period=e.period, preperiod=e.preperiod, side=side)
 

@@ -84,16 +84,16 @@ def test_in_process_cli_ops_pass_their_checks_traced(spans, tmp_path):
 
 
 # Work counts of one round of long_periods at seed 1.  The exact fold reads
-# half of each W + complement(W) period, for the exponent and for the exact
-# tangent alike; the projective fold only serves direction_at's prefixes, and
+# half of each W + complement(W) period once, for the exponent and the exact
+# tangent together; the projective fold only serves direction_at's prefixes, and
 # the estimators read two batches of 48 x 4096 bits plus one 4096-bit
 # stream.  A change of kernel must not move them, or the traced per-layer
 # times would compare different work.
-LONG_PERIODS_COUNTS = {"exact.fold_letters": 75320, "tangent.projective_letters": 355,
+LONG_PERIODS_COUNTS = {"exact.fold_letters": 37661, "tangent.projective_letters": 355,
                        "holder.stream_bits": 397312}
 # the letters folded by either path: the exact tangent's period and
 # preperiod folds moved from the projective count to the exact one
-LONG_PERIODS_FOLDED = 75675
+LONG_PERIODS_FOLDED = 38016
 
 
 def test_long_periods_ops_pass_their_checks_plain_and_traced(spans, tmp_path):

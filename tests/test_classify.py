@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 import sgharm.exact
-import sgharm.tangent
 from sgharm.exact import CHART_BASIS, Expansion, QuadraticValue, complement_word, quad_sign
 from sgharm.harmonic import FORM_PRESETS, LinearForm
 from sgharm.holder import DerivativeClass, classify_curve, classify_form
@@ -107,7 +106,6 @@ def test_classify_form_matches_the_composition_on_long_words(monkeypatch):
     forms = FORMS[:4] + FORMS[4:6]
     for e in _long_expansions():
         monkeypatch.setattr(sgharm.exact, "expand", lambda *args, e=e: e)
-        monkeypatch.setattr(sgharm.tangent, "expand", lambda *args, e=e: e)
         s = e.value()
         for form in forms:
             assert _outcome(classify_form, form, s) == _outcome(_reference, form, s), \

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-import sgharm.tangent
+import sgharm.exact
 from sgharm.exact import (
     CHART_BASIS,
     Expansion,
@@ -342,7 +342,7 @@ def test_exact_direction_matches_fraction_reference_long_words(monkeypatch):
             preperiod = "".join(rng.choice("01") for _ in range(rng.randrange(1, 301)))
             preperiod = preperiod[:-1] + ("1" if period[-1] == "0" else "0")
         e = Expansion(preperiod, period)
-        monkeypatch.setattr(sgharm.tangent, "expand", lambda frac, variant, e=e: e)
+        monkeypatch.setattr(sgharm.exact, "expand", lambda frac, variant, e=e: e)
         qd = direction_at_rational(e.value(), Side.RIGHT)
         assert (qd.period, qd.preperiod) == (period, preperiod)
         assert _fields(qd.chart) == _fields(_reference_chart(e)), k
