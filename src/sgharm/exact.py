@@ -655,17 +655,45 @@ def expansion_value(e: Expansion) -> Fraction:
     return e.value()
 
 
-# Holds the two one-sided expansions of one point, so that the exponent, the
-# classes and the exact tangent asked in turn at one rational expand and fold
-# once.  Each value is immutable and exceptions are not cached, so no answer
-# depends on the memo; it must stay smaller than the number of rationals in
-# any repeated batch of queries, or a batch's second pass reads stored
-# results instead of computing them.
+class _RationalRecord:
+    """e = expand(s, variant), the _period_map (F, h) of its period, and two
+    fields read from (F, h) on first use.  A field is stored only once its
+    computation returns, so an error is raised again on every read, and
+    threads that race on a field compute one immutable value twice."""
+
+    __slots__ = ("e", "F", "h", "_chart", "_sign")
+
+    def __init__(self, e: Expansion, F: Mat2i, h: int):
+        self.e, self.F, self.h = e, F, h
+        self._chart = self._sign = None
+
+    @property
+    def chart(self) -> tuple[int, int, int, int]:
+        """tangent._chart_fixed_point(F, e.preperiod)."""
+        if self._chart is None:
+            from . import tangent  # here, as tangent imports this module
+            self._chart = tangent._chart_fixed_point(self.F, self.e.preperiod)
+        return self._chart
+
+    @property
+    def sign(self) -> tuple[int, int]:
+        """holder._exponent_sign(F, h): F's trace and the exponent's sign."""
+        if self._sign is None:
+            from . import holder  # here, as holder imports this module
+            self._sign = holder._exponent_sign(self.F, self.h)
+        return self._sign
+
+
+# Holds the records of a point's two one-sided expansions, so that the
+# exponent, the classes and the exact tangent asked in turn at one rational
+# expand, fold and read the chart and the sign once.  No answer depends on it,
+# and it must stay smaller than any repeated batch of rationals, or a batch's
+# second pass reads stored results instead of computing them.
 @lru_cache(maxsize=2)
-def _rational_period(s: Fraction, variant: ExpansionVariant) -> tuple[Expansion, Mat2i, int]:
-    """(e, F, h): expand(s, variant) and the _period_map of its period."""
+def _rational_period(s: Fraction, variant: ExpansionVariant) -> _RationalRecord:
+    """The record of expand(s, variant)."""
     e = expand(s, variant)
-    return (e, *_period_map(e.period))
+    return _RationalRecord(e, *_period_map(e.period))
 
 
 # ---------------------------------------------------------------------------

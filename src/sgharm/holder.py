@@ -14,6 +14,7 @@ import statistics
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .exact import (
@@ -30,9 +31,10 @@ from .exact import (
     _mul2,
     _period_map,
     _rational_period,
+    _RationalRecord,
 )
 from .harmonic import LinearForm
-from .tangent import _chart_fixed_point, _in_kernel
+from .tangent import _in_kernel
 
 LN2 = math.log(2.0)
 LN5 = math.log(5.0)
@@ -118,6 +120,14 @@ def _over_power_of_5(x: int, k: int) -> tuple[int, int]:
     return x, k
 
 
+@lru_cache(maxsize=None)  # alpha_enclosure asks at its ten precisions 64 ... 32768
+def _ln_half(prec: int):
+    """Interval of ln(1/2) at prec bits, rounded outward."""
+    from mpmath.libmp import fhalf, mpi_log
+
+    return mpi_log((fhalf, fhalf), prec)
+
+
 def alpha_enclosure(t: int, n: int, width: float = 1e-12) -> tuple[float, float]:
     """Certified float enclosure of ln(lam)/(n ln 1/2) for the dominant
     eigenvalue lam = (t + sqrt(t*t - 4*3**n)) / (2*5**n) of an n-letter
@@ -129,7 +139,7 @@ def alpha_enclosure(t: int, n: int, width: float = 1e-12) -> tuple[float, float]
     mpmath context is read or written.
     """
     # only the exponent commands pay for the import
-    from mpmath.libmp import (fhalf, from_int, fzero, mpf_gt, mpi_add, mpi_div, mpi_log,
+    from mpmath.libmp import (from_int, fzero, mpf_gt, mpf_shift, mpi_add, mpi_div, mpi_log,
                               mpi_mul, mpi_sqrt, round_ceiling, round_floor, round_nearest,
                               to_float)
 
@@ -144,10 +154,10 @@ def alpha_enclosure(t: int, n: int, width: float = 1e-12) -> tuple[float, float]
     while True:
         trace = mpi_div(interval(tn), interval(tden), prec)
         root = mpi_sqrt(mpi_div(interval(dn), interval(dden), prec), prec)
-        lam = mpi_div(mpi_add(trace, root, prec), interval(2), prec)
+        total = mpi_add(trace, root, prec)
+        lam = mpf_shift(total[0], -1), mpf_shift(total[1], -1)  # halving is exact
         if mpf_gt(lam[0], fzero):
-            a, b = mpi_div(mpi_log(lam, prec),
-                           mpi_mul(interval(n), mpi_log((fhalf, fhalf), prec), prec), prec)
+            a, b = mpi_div(mpi_log(lam, prec), mpi_mul(interval(n), _ln_half(prec), prec), prec)
             # each end to the nearest float, then one step outward
             lo = math.nextafter(to_float(a, rnd=round_nearest), -math.inf)
             hi = math.nextafter(to_float(b, rnd=round_nearest), math.inf)
@@ -198,27 +208,23 @@ def _exponent_sign(m: Mat2i, h: int) -> tuple[int, int]:
     return tr, sign if k > 0 else -sign
 
 
-def _trace_sign(m: Mat2i, h: int, n: int) -> tuple[int, int]:
-    """Scaled trace t of an n-letter period and the exact sign of lam - 2**-n,
-    from its period map (F, h), in integers only.
-
-    The period's edge restriction has determinant (3/25)**n, so its dominant
-    eigenvalue is lam = (t + sqrt(t*t - 4*3**n)) / (2*5**n).  t is the trace
-    tr of F, or tr*tr + 2*3**h, the trace of F**2, when F covers half the
-    period in h letters.
-    """
-    tr, sign = _exponent_sign(m, h)
-    return (tr if h == n else tr * tr + 2 * 3 ** h), sign
+def _scaled_trace(tr: int, h: int, n: int) -> int:
+    """Scaled trace t of an n-letter period whose period map (F, h) has the
+    trace tr: the period's dominant eigenvalue is lam = (t + sqrt(t*t -
+    4*3**n)) / (2*5**n), and t is tr, or tr*tr + 2*3**h, the trace of F**2,
+    when F covers half the period in h letters."""
+    return tr if h == n else tr * tr + 2 * 3 ** h
 
 
 def _period_sign(period: str) -> tuple[int, int]:
-    """_trace_sign of a period word."""
-    return _trace_sign(*_period_map(period), len(period))
+    """Scaled trace of a period word and the exact sign of lam - 2**-n."""
+    m, h = _period_map(period)
+    tr, sign = _exponent_sign(m, h)
+    return _scaled_trace(tr, h, len(period)), sign
 
 
-def _auto_period(s: RationalLike) -> tuple[Expansion, Mat2i, int]:
-    """(e, F, h) for e = expand_auto(s), from exact's memo of expansions and
-    period maps."""
+def _auto_period(s: RationalLike) -> _RationalRecord:
+    """The record of e = expand_auto(s), from exact's memo."""
     frac = Fraction(s)
     return _rational_period(frac, _auto_variant(frac))
 
@@ -236,9 +242,10 @@ def holder_exponent(s: RationalLike) -> HolderReport:
     dropped; only the period word enters.
     """
     frac = Fraction(s)
-    e, m, h = _auto_period(frac)
+    rec = _auto_period(frac)
+    e, (tr, sign) = rec.e, rec.sign
     n = len(e.period)
-    t, sign = _trace_sign(m, h, n)
+    t = _scaled_trace(tr, rec.h, n)
     lo, hi = alpha_enclosure(t, n)
     return HolderReport(
         s=frac, expansion=e, period=e.period, period_length=n, scaled_trace=t,
@@ -319,8 +326,7 @@ def classify_curve(s: RationalLike) -> DerivativeClass:
     Zero iff the exponent exceeds 1, infinite iff it is below 1; the value 1
     itself cannot occur, so the verdict is always decided.
     """
-    _, m, h = _auto_period(s)
-    return _derivative_class(_exponent_sign(m, h)[1])
+    return _derivative_class(_auto_period(s).sign[1])
 
 
 def classify_form(form: LinearForm, s: RationalLike) -> DerivativeClass:
@@ -331,10 +337,10 @@ def classify_form(form: LinearForm, s: RationalLike) -> DerivativeClass:
     that of kernel_test on direction_at_rational(s), then classify_curve(s),
     from one expansion and one period map.
     """
-    e, m, h = _auto_period(s)
-    if _in_kernel(form, *_chart_fixed_point(m, e.preperiod)):
+    rec = _auto_period(s)
+    if _in_kernel(form, *rec.chart):
         return DerivativeClass.EXCEPTIONAL
-    return _derivative_class(_exponent_sign(m, h)[1])
+    return _derivative_class(rec.sign[1])
 
 
 def exponent_bound(e: Expansion) -> tuple[float, float]:

@@ -209,10 +209,10 @@ def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadD
         raise ValueError(f"{frac} is outside [0,1]")
     if side is None:
         side = Side.RIGHT if frac < 1 else Side.LEFT
-    e, m, _ = _rational_period(frac, _side_variant(frac, side))
-    u, w, R, D = _chart_fixed_point(m, e.preperiod)
+    rec = _rational_period(frac, _side_variant(frac, side))
+    u, w, R, D = rec.chart
     chart = QuadraticValue.from_pair(Fraction(u, R), Fraction(w, R), D)
-    return QuadDir(chart=chart, period=e.period, preperiod=e.preperiod, side=side)
+    return QuadDir(chart=chart, period=rec.e.period, preperiod=rec.e.preperiod, side=side)
 
 
 @lru_cache(maxsize=64)  # forms are immutable, and a few presets serve most calls

@@ -33,6 +33,7 @@ from sgharm.holder import (
     lyapunov_sample,
     maxrun_experiment,
     table_csv,
+    _ln_half,
     _over_power_of_5,
     _period_sign,
     _product_sign,
@@ -324,6 +325,29 @@ def test_enclosure_matches_the_iv_reference(monkeypatch):
             assert got == _enclosure_or_error(iv_enclosure, t, n, width), (word, width)
             assert (width == 1e-17) == (got[0] is ArithmeticError), (word, width)
     assert escalated == {1e-15: 0, 7e-16: 0, 5e-16: 4, 1e-17: 4}
+
+
+def test_enclosure_is_the_same_from_a_cold_and_a_full_ln_half_table():
+    """alpha_enclosure keeps ln(1/2) per precision: the cases whose precision
+    escalates at width 5e-16 give the iv reference's ends with the table
+    empty, and again with it filled at every precision 64 ... 32768."""
+    ladder = [1 << k for k in range(6, 16)]
+    escalating = []
+    for w in (w for n in range(1, 13) for w in lyndon_words(n)):
+        _ln_half.cache_clear()
+        alpha_enclosure(_period_sign(w)[0], len(w), 5e-16)
+        if _ln_half.cache_info().currsize > 1:
+            escalating.append((_period_sign(w)[0], len(w), 5e-16))
+    assert len(escalating) == 4
+    want = [iv_enclosure(*case) for case in escalating]
+    _ln_half.cache_clear()
+    assert [alpha_enclosure(*case) for case in escalating] == want
+    assert _ln_half.cache_info().misses == 2  # 64 and 128 bits
+    for prec in ladder:
+        _ln_half(prec)
+    assert _ln_half.cache_info().currsize == len(ladder)
+    assert [alpha_enclosure(*case) for case in escalating] == want
+    assert _ln_half.cache_info().currsize == len(ladder)
 
 
 def test_enclosure_writes_no_mpmath_context(monkeypatch):

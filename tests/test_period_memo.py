@@ -1,21 +1,29 @@
-"""exact._rational_period memoises one rational's expansion and period map, so
-that the exponent, the classes and the exact tangent asked in turn at one
-point expand and fold once.  No answer may depend on what the memo holds, and
-it must stay smaller than the benchmark's batches of distinct rationals, or a
-round of a workload would read the results of the round before."""
+"""exact._rational_period memoises one rational's expansion and period map,
+with the chart fixed point and the exponent's sign read from them, so that
+the exponent, the classes and the exact tangent asked in turn at one point
+expand, fold and solve once.  No answer may depend on what the memo holds,
+and it must stay smaller than the benchmark's batches of distinct rationals,
+or a round of a workload would read the results of the round before."""
 
+import hashlib
 import importlib
+import json
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import sgharm.exact
-from sgharm.exact import _rational_period
+import sgharm.holder
+import sgharm.tangent
+from sgharm.exact import ExpansionVariant, _rational_period
 from sgharm.harmonic import FORM_PRESETS, LinearForm
-from sgharm.holder import classify_curve, classify_form, holder_exponent
-from sgharm.tangent import Side, direction_at_rational
+from sgharm.holder import DerivativeClass, HolderReport, classify_curve, classify_form, holder_exponent
+from sgharm.tangent import ConeError, Side, direction_at_rational
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 FORMS = [*FORM_PRESETS.values(), LinearForm.parse("1,-2/3,5/7")]
@@ -50,6 +58,116 @@ def test_warm_and_cleared_memo_give_equal_answers():
     assert hits > 0
 
 
+def _golden_value(f, *args):
+    try:
+        out = f(*args)
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    if isinstance(out, HolderReport):
+        return out.to_dict()
+    if isinstance(out, DerivativeClass):
+        return out.value
+    return [str(out.chart.t), str(out.chart.d), out.chart.plus_root]
+
+
+# sha256 of the lines below, as written while the memo held (e, F, h) alone
+# and each reader solved the chart fixed point and the exponent's sign itself
+READERS_GOLDEN_SHA256 = "095fe515a9fe3bf983388dc8948e64ae3630913cff45b51fd8ff10e19a7ca764"
+
+
+def test_readers_in_the_order_of_a_short_op_are_unchanged():
+    """The four readers at every p/q with q < 97, asked in turn on a warm
+    memo: the exponent, the classes, then each side of the tangent."""
+    lines = []
+    for q in range(1, 97):
+        for p in range(q + 1):
+            s = Fraction(p, q)
+            if math.gcd(p, q) == 1:
+                for f, *args in _queries(s):
+                    lines.append(json.dumps([f.__name__, str(s), _golden_value(f, *args)]))
+    assert len(lines) == 25261
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == READERS_GOLDEN_SHA256
+
+
+def _counted(monkeypatch, module, name, fail_first=None):
+    """Replace module.name by a wrapper that records each call, and raises
+    fail_first on the first one instead of calling through."""
+    calls, real = [], getattr(module, name)
+
+    def call(*args):
+        calls.append(args)
+        if fail_first is not None and len(calls) == 1:
+            raise fail_first
+        return real(*args)
+
+    monkeypatch.setattr(module, name, call)
+    return calls
+
+
+@pytest.mark.parametrize("module, name, error, query", [
+    (sgharm.tangent, "_chart_fixed_point", ConeError("injected"), direction_at_rational),
+    (sgharm.holder, "_exponent_sign", AssertionError("injected"), classify_curve),
+])
+def test_a_failed_field_is_not_stored(monkeypatch, module, name, error, query):
+    s = Fraction(5, 7)
+    want = query(s)
+    _rational_period.cache_clear()
+    calls = _counted(monkeypatch, module, name, fail_first=error)
+    with pytest.raises(type(error), match="injected"):
+        query(s)
+    record = _rational_period(s, ExpansionVariant.UPPER)
+    assert query(s) == want and query(s) == want
+    assert _rational_period(s, ExpansionVariant.UPPER) is record
+    assert _rational_period.cache_info().misses == 1
+    assert len(calls) == 2  # the failed call, then one that is kept
+    _rational_period.cache_clear()
+    assert query(s) == want
+    assert len(calls) == 3
+
+
+def test_cache_clear_recomputes_both_fields(monkeypatch):
+    charts = _counted(monkeypatch, sgharm.tangent, "_chart_fixed_point")
+    signs = _counted(monkeypatch, sgharm.holder, "_exponent_sign")
+    s = Fraction(3, 11)
+    for cleared in range(1, 3):
+        for _ in range(2):
+            for f, *args in _queries(s):
+                f(*args)
+        # the tangent's left side reads the lower expansion, a second record
+        assert (len(charts), len(signs)) == (2 * cleared, cleared)
+        _rational_period.cache_clear()
+
+
+def test_threads_racing_on_the_records_read_the_cold_answers():
+    points = [Fraction(p, 97) for p in range(1, 9)]  # period 48 letters
+    want = {}
+    for s in points:
+        _rational_period.cache_clear()
+        want[s] = [f(*args) for f, *args in _queries(s)]
+    got = []
+
+    def reader():
+        for s in points:
+            got.append((s, [f(*args) for f, *args in _queries(s)]))
+
+    workers = len(os.sched_getaffinity(0)) + 2
+    saved = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(3):
+            _rational_period.cache_clear()
+            threads = [threading.Thread(target=reader) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(saved)
+    assert len(got) == 3 * workers * len(points)  # no reader raised
+    assert all(answers == want[s] for s, answers in got)
+
+
 def test_text_and_fraction_share_one_entry():
     holder_exponent("1/3")
     classify_form(FORM_PRESETS["psi"], Fraction(1, 3))
@@ -79,8 +197,14 @@ def test_no_round_replays_the_round_before(monkeypatch, tmp_path, workload, poin
     plan = workloads.make_plan(workload, 1)
     assert sum(spec["kind"] in ("short", "period") for spec in plan["ops"]) == points
     ops = workloads.make_ops(plan, str(BENCH.parent), str(tmp_path))
+    charts = _counted(monkeypatch, sgharm.tangent, "_chart_fixed_point")
+    signs = _counted(monkeypatch, sgharm.holder, "_exponent_sign")
     for _ in range(2):
         before = _rational_period.cache_info().misses
+        charts.clear()
+        signs.clear()
         for op in ops:
             op.call()
         assert _rational_period.cache_info().misses - before == points
+        # one chart fixed point and one exponent sign per op, none carried over
+        assert (len(charts), len(signs)) == (points, points)
