@@ -657,31 +657,16 @@ def expansion_value(e: Expansion) -> Fraction:
 
 class _RationalRecord:
     """e = expand(s, variant), the _period_map (F, h) of its period, and two
-    fields read from (F, h) on first use.  A field is stored only once its
-    computation returns, so an error is raised again on every read, and
-    threads that race on a field compute one immutable value twice."""
+    fields set on first read, chart by tangent._record_chart and sign by
+    holder._record_sign.  A field is set only once its computation returns,
+    so an error is raised again on every read, and threads that race on a
+    field compute one immutable value twice."""
 
-    __slots__ = ("e", "F", "h", "_chart", "_sign")
+    __slots__ = ("e", "F", "h", "chart", "sign")
 
     def __init__(self, e: Expansion, F: Mat2i, h: int):
         self.e, self.F, self.h = e, F, h
-        self._chart = self._sign = None
-
-    @property
-    def chart(self) -> tuple[int, int, int, int]:
-        """tangent._chart_fixed_point(F, e.preperiod)."""
-        if self._chart is None:
-            from . import tangent  # here, as tangent imports this module
-            self._chart = tangent._chart_fixed_point(self.F, self.e.preperiod)
-        return self._chart
-
-    @property
-    def sign(self) -> tuple[int, int]:
-        """holder._exponent_sign(F, h): F's trace and the exponent's sign."""
-        if self._sign is None:
-            from . import holder  # here, as holder imports this module
-            self._sign = holder._exponent_sign(self.F, self.h)
-        return self._sign
+        self.chart = self.sign = None
 
 
 # Holds the records of a point's two one-sided expansions, so that the

@@ -34,7 +34,7 @@ from .exact import (
     _RationalRecord,
 )
 from .harmonic import LinearForm
-from .tangent import _in_kernel
+from .tangent import _in_kernel, _record_chart
 
 LN2 = math.log(2.0)
 LN5 = math.log(5.0)
@@ -229,6 +229,13 @@ def _auto_period(s: RationalLike) -> _RationalRecord:
     return _rational_period(frac, _auto_variant(frac))
 
 
+def _record_sign(rec: _RationalRecord) -> tuple[int, int]:
+    """The record's _exponent_sign, computed on first read."""
+    if rec.sign is None:
+        rec.sign = _exponent_sign(rec.F, rec.h)
+    return rec.sign
+
+
 def _derivative_class(sign: int) -> DerivativeClass:
     if sign == 0:
         raise AssertionError("exponent 1 is impossible at rational parameters")
@@ -243,7 +250,7 @@ def holder_exponent(s: RationalLike) -> HolderReport:
     """
     frac = Fraction(s)
     rec = _auto_period(frac)
-    e, (tr, sign) = rec.e, rec.sign
+    e, (tr, sign) = rec.e, _record_sign(rec)
     n = len(e.period)
     t = _scaled_trace(tr, rec.h, n)
     lo, hi = alpha_enclosure(t, n)
@@ -326,7 +333,7 @@ def classify_curve(s: RationalLike) -> DerivativeClass:
     Zero iff the exponent exceeds 1, infinite iff it is below 1; the value 1
     itself cannot occur, so the verdict is always decided.
     """
-    return _derivative_class(_auto_period(s).sign[1])
+    return _derivative_class(_record_sign(_auto_period(s))[1])
 
 
 def classify_form(form: LinearForm, s: RationalLike) -> DerivativeClass:
@@ -338,9 +345,9 @@ def classify_form(form: LinearForm, s: RationalLike) -> DerivativeClass:
     from one expansion and one period map.
     """
     rec = _auto_period(s)
-    if _in_kernel(form, *rec.chart):
+    if _in_kernel(form, *_record_chart(rec)):
         return DerivativeClass.EXCEPTIONAL
-    return _derivative_class(rec.sign[1])
+    return _derivative_class(_record_sign(rec)[1])
 
 
 def exponent_bound(e: Expansion) -> tuple[float, float]:

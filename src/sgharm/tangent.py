@@ -30,6 +30,7 @@ from .exact import (
     _chart_fold,
     _prefix_bits,
     _rational_period,
+    _RationalRecord,
     _to_chart,
 )
 from .harmonic import LinearForm
@@ -197,6 +198,13 @@ def _chart_fixed_point(m: Mat2i, preperiod: str) -> tuple[int, int, int, int]:
     return u, w, R, D
 
 
+def _record_chart(rec: _RationalRecord) -> tuple[int, int, int, int]:
+    """The record's _chart_fixed_point, computed on first read."""
+    if rec.chart is None:
+        rec.chart = _chart_fixed_point(rec.F, rec.e.preperiod)
+    return rec.chart
+
+
 def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadDir:
     """Exact one-sided direction at a rational parameter.
 
@@ -210,7 +218,7 @@ def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadD
     if side is None:
         side = Side.RIGHT if frac < 1 else Side.LEFT
     rec = _rational_period(frac, _side_variant(frac, side))
-    u, w, R, D = rec.chart
+    u, w, R, D = _record_chart(rec)
     chart = QuadraticValue.from_pair(Fraction(u, R), Fraction(w, R), D)
     return QuadDir(chart=chart, period=rec.e.period, preperiod=rec.e.preperiod, side=side)
 
