@@ -1,9 +1,10 @@
 """Exact arithmetic backbone.
 
 Integer-scaled transition matrices and their plane restrictions, quadratic
-eigenvalues, eventually periodic binary expansions of rationals, and the
-necklace combinatorics behind the exponent table.  Everything here is pure
-and exact: no floats except in explicitly named conversion helpers.
+eigenvalues, eventually periodic binary expansions of rationals with the
+exponent sign and tangent chart read from their periods, and the necklace
+combinatorics behind the exponent table.  Everything here is pure and
+exact: no floats except in explicitly named conversion helpers.
 """
 
 from __future__ import annotations
@@ -400,6 +401,82 @@ def quad_sign(p: Fraction, q: Fraction, d: Fraction) -> int:
     return sgn(c) if sp > 0 else -sgn(c)
 
 
+def _product_sign(a: int, b: int, c: int) -> int:
+    """Sign of a*b - c for positive integers, without the product when the
+    bit lengths decide it."""
+    bits, cbits = a.bit_length() + b.bit_length(), c.bit_length()
+    if bits < cbits:  # a*b < 2**bits <= c
+        return -1
+    if bits > cbits + 1:  # a*b >= 2**(bits - 2) > c
+        return 1
+    x = a * b
+    return (x > c) - (x < c)
+
+
+def _exponent_sign(m: Mat2i, h: int) -> tuple[int, int]:
+    """Trace of a period map and the exact sign of lam - 2**-n, in integers
+    only.
+
+    (m, h) is the (F, h) of _period_map for a period of n letters, so F has
+    a trace tr and the determinant det = 3**h or -3**h, and the period's
+    dominant eigenvalue lam is rho**(n // h) for
+    rho = (|tr| + sqrt(tr*tr - 4*det)) / (2*5**h): the sign is that of
+    rho - 2**-h.
+    """
+    (a, b), (c, d) = m
+    tr, det = a + d, a * d - b * c
+    if abs(det) != 3 ** h:
+        raise AssertionError("restriction determinant is off")
+    # rho is the larger root of x*x - |tr|/5**h * x + det/25**h.  2**-h is
+    # below rho when it is below the roots' midpoint |tr| / (2*5**h), that
+    # is when k > f below, and otherwise exactly when the polynomial is
+    # negative at 2**-h, where 100**h times it is det*4**h - f*k
+    f = 5 ** h
+    k = (abs(tr) << h) - f
+    if k > f:
+        return tr, 1
+    if k == 0 or (k > 0) != (det > 0):
+        return tr, -1 if det > 0 else 1
+    sign = _product_sign(f, abs(k), abs(det) << 2 * h)
+    return tr, sign if k > 0 else -sign
+
+
+def _chart_fixed_point(m: Mat2i, preperiod: str) -> tuple[int, int, int, int]:
+    """The exact direction chart at a rational parameter as integers (u, w, R,
+    D), for the chart (u + w*sqrt(D)) / R with R != 0.
+
+    m is the period map F of _period_map: a power of F is the period's edge
+    product, so F's projective map has the period's fixed points.  The chart
+    is the fixed point inside the chart interval, pushed through the
+    preperiod's projective map.  Both maps are read in the chart basis from
+    the edge products through _to_chart, up to a positive scale.
+    """
+    (p, q), (r, s) = _to_chart(m)
+    # fixed points of x -> (p*x + q) / (r*x + s): (p - s +- sqrt(D)) / (2*r);
+    # r != 0: each chart letter maps infinity and [-1, 1] into [-1, 1], and
+    # the swap of a W + complement(W) period fixes infinity
+    D = (s - p) ** 2 + 4 * r * q
+    if D < 0:
+        raise ValueError("projective map has no real fixed point")
+    u, R = (p - s, 2 * r) if r > 0 else (s - p, -2 * r)
+    # with R > 0, -1/3 <= (u + w*sqrt(D)) / R <= 1/3 is a sign test on
+    # each of 3*u + R + 3*w*sqrt(D) and 3*u - R + 3*w*sqrt(D)
+    inside = [w for w in (1, -1)
+              if quad_sign(3 * u + R, 3 * w, D) >= 0 >= quad_sign(3 * u - R, 3 * w, D)]
+    if len(inside) != 1:
+        raise ValueError("expected exactly one fixed point in the chart interval")
+    w, = inside
+    if preperiod:
+        (a, b), (c, d) = _to_chart(edge_word_matrix(preperiod).entries)
+        n0, n1, d0, d1 = a * u + b * R, a * w, c * u + d * R, c * w
+        norm = d0 * d0 - d1 * d1 * D
+        if norm == 0:
+            raise ConeError("chart left the domain of the projective map")
+        # (n0 + n1*sqrt(D)) / (d0 + d1*sqrt(D)), rationalised by the conjugate
+        u, w, R = n0 * d0 - n1 * d1 * D, n1 * d0 - n0 * d1, norm
+    return u, w, R, D
+
+
 @dataclass(frozen=True)
 class QuadraticValue:
     """Exact number (t + sqrt(d))/2, or (t - sqrt(d))/2 when plus_root is False."""
@@ -656,29 +733,40 @@ def expansion_value(e: Expansion) -> Fraction:
 
 
 class _RationalRecord:
-    """e = expand(s, variant), the _period_map (F, h) of its period, and two
-    fields set on first read, chart by tangent._record_chart and sign by
-    holder._record_sign.  A field is set only once its computation returns,
-    so an error is raised again on every read, and threads that race on a
-    field compute one immutable value twice."""
+    """An expansion e, the _period_map (F, h) of its period, and what a
+    rational point's readers ask of them: chart() is the _chart_fixed_point
+    of F and e.preperiod, and sign() the _exponent_sign of F, each computed
+    on first call.  A value is stored only once its computation returns, so
+    an error is raised again on every call, and threads that race on a value
+    compute one immutable answer twice."""
 
-    __slots__ = ("e", "F", "h", "chart", "sign")
+    __slots__ = ("e", "F", "h", "_chart", "_sign")
 
-    def __init__(self, e: Expansion, F: Mat2i, h: int):
-        self.e, self.F, self.h = e, F, h
-        self.chart = self.sign = None
+    def __init__(self, e: Expansion):
+        self.e = e
+        self.F, self.h = _period_map(e.period)
+        self._chart = self._sign = None
+
+    def chart(self) -> tuple[int, int, int, int]:
+        if self._chart is None:
+            self._chart = _chart_fixed_point(self.F, self.e.preperiod)
+        return self._chart
+
+    def sign(self) -> tuple[int, int]:
+        if self._sign is None:
+            self._sign = _exponent_sign(self.F, self.h)
+        return self._sign
 
 
 # Holds the records of a point's two one-sided expansions, so that the
 # exponent, the classes and the exact tangent asked in turn at one rational
-# expand, fold and read the chart and the sign once.  No answer depends on it,
-# and it must stay smaller than any repeated batch of rationals, or a batch's
-# second pass reads stored results instead of computing them.
+# expand, fold and compute the chart and the sign once.  No answer depends on
+# it, and it must stay smaller than any repeated batch of rationals, or a
+# batch's second pass reads stored results instead of computing them.
 @lru_cache(maxsize=2)
 def _rational_period(s: Fraction, variant: ExpansionVariant) -> _RationalRecord:
     """The record of expand(s, variant)."""
-    e = expand(s, variant)
-    return _RationalRecord(e, *_period_map(e.period))
+    return _RationalRecord(expand(s, variant))
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +846,10 @@ def max_cyclic_run(word: str):
 
 # ---------------------------------------------------------------------------
 # Cones in the vector plane
+
+
+class ConeError(ValueError):
+    """Vector is outside the difference cone."""
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ from .exact import (
     E1,
     EW,
     Expansion,
-    ExpansionVariant,
     RationalLike,
     Vec3Q,
     _GEN3,
+    _auto_variant,
     _norm_symbol,
     _prefix_bits,
 )
@@ -123,7 +123,7 @@ def truncated_curve_value(e: Union[Expansion, RationalLike], terms: int,
         word = e.bits(terms)
     else:
         s = Fraction(e)
-        word = _prefix_bits(s, terms, ExpansionVariant.LOWER if s == 1 else ExpansionVariant.UPPER)
+        word = _prefix_bits(s, terms, _auto_variant(s))
     den = math.lcm(*(c.denominator for c in start.coords))
     return _word_value(word, tuple(c.numerator * (den // c.denominator) for c in start.coords), den)
 

@@ -19,13 +19,13 @@ from typing import Iterable, Optional, Sequence
 
 from .exact import (
     Expansion,
-    Mat2i,
     QuadraticValue,
     RationalLike,
     max_cyclic_run,
     necklace_classes,
     transition_density,
     _auto_variant,
+    _exponent_sign,
     _fold2,
     _fold_bits,
     _mul2,
@@ -34,7 +34,7 @@ from .exact import (
     _RationalRecord,
 )
 from .harmonic import LinearForm
-from .tangent import _in_kernel, _record_chart
+from .tangent import _in_kernel
 
 LN2 = math.log(2.0)
 LN5 = math.log(5.0)
@@ -168,46 +168,6 @@ def alpha_enclosure(t: int, n: int, width: float = 1e-12) -> tuple[float, float]
             raise ArithmeticError("exponent enclosure did not converge")
 
 
-def _product_sign(a: int, b: int, c: int) -> int:
-    """Sign of a*b - c for positive integers, without the product when the
-    bit lengths decide it."""
-    bits, cbits = a.bit_length() + b.bit_length(), c.bit_length()
-    if bits < cbits:  # a*b < 2**bits <= c
-        return -1
-    if bits > cbits + 1:  # a*b >= 2**(bits - 2) > c
-        return 1
-    x = a * b
-    return (x > c) - (x < c)
-
-
-def _exponent_sign(m: Mat2i, h: int) -> tuple[int, int]:
-    """Trace of a period map and the exact sign of lam - 2**-n, in integers
-    only.
-
-    (m, h) is the (F, h) of exact._period_map for a period of n letters, so
-    F has a trace tr and the determinant det = 3**h or -3**h, and the
-    period's dominant eigenvalue lam is rho**(n // h) for
-    rho = (|tr| + sqrt(tr*tr - 4*det)) / (2*5**h): the sign is that of
-    rho - 2**-h.
-    """
-    (a, b), (c, d) = m
-    tr, det = a + d, a * d - b * c
-    if abs(det) != 3 ** h:
-        raise AssertionError("restriction determinant is off")
-    # rho is the larger root of x*x - |tr|/5**h * x + det/25**h.  2**-h is
-    # below rho when it is below the roots' midpoint |tr| / (2*5**h), that
-    # is when k > f below, and otherwise exactly when the polynomial is
-    # negative at 2**-h, where 100**h times it is det*4**h - f*k
-    f = 5 ** h
-    k = (abs(tr) << h) - f
-    if k > f:
-        return tr, 1
-    if k == 0 or (k > 0) != (det > 0):
-        return tr, -1 if det > 0 else 1
-    sign = _product_sign(f, abs(k), abs(det) << 2 * h)
-    return tr, sign if k > 0 else -sign
-
-
 def _scaled_trace(tr: int, h: int, n: int) -> int:
     """Scaled trace t of an n-letter period whose period map (F, h) has the
     trace tr: the period's dominant eigenvalue is lam = (t + sqrt(t*t -
@@ -223,23 +183,23 @@ def _period_sign(period: str) -> tuple[int, int]:
     return _scaled_trace(tr, h, len(period)), sign
 
 
-def _auto_period(s: RationalLike) -> _RationalRecord:
-    """The record of e = expand_auto(s), from exact's memo."""
-    frac = Fraction(s)
-    return _rational_period(frac, _auto_variant(frac))
-
-
-def _record_sign(rec: _RationalRecord) -> tuple[int, int]:
-    """The record's _exponent_sign, computed on first read."""
-    if rec.sign is None:
-        rec.sign = _exponent_sign(rec.F, rec.h)
-    return rec.sign
-
-
 def _derivative_class(sign: int) -> DerivativeClass:
     if sign == 0:
         raise AssertionError("exponent 1 is impossible at rational parameters")
     return DerivativeClass.ZERO if sign < 0 else DerivativeClass.INFINITE
+
+
+def _report(frac: Fraction, rec: _RationalRecord) -> HolderReport:
+    """The exponent report at frac, from the record of its expansion."""
+    e, (tr, sign) = rec.e, rec.sign()
+    n = len(e.period)
+    t = _scaled_trace(tr, rec.h, n)
+    lo, hi = alpha_enclosure(t, n)
+    return HolderReport(
+        s=frac, expansion=e, period=e.period, period_length=n, scaled_trace=t,
+        alpha=0.5 * (lo + hi), alpha_lo=lo, alpha_hi=hi,
+        derivative_class=_derivative_class(sign),
+    )
 
 
 def holder_exponent(s: RationalLike) -> HolderReport:
@@ -249,16 +209,7 @@ def holder_exponent(s: RationalLike) -> HolderReport:
     dropped; only the period word enters.
     """
     frac = Fraction(s)
-    rec = _auto_period(frac)
-    e, (tr, sign) = rec.e, _record_sign(rec)
-    n = len(e.period)
-    t = _scaled_trace(tr, rec.h, n)
-    lo, hi = alpha_enclosure(t, n)
-    return HolderReport(
-        s=frac, expansion=e, period=e.period, period_length=n, scaled_trace=t,
-        alpha=0.5 * (lo + hi), alpha_lo=lo, alpha_hi=hi,
-        derivative_class=_derivative_class(sign),
-    )
+    return _report(frac, _rational_period(frac, _auto_variant(frac)))
 
 
 def _ln_big(x: int) -> float:
@@ -333,7 +284,8 @@ def classify_curve(s: RationalLike) -> DerivativeClass:
     Zero iff the exponent exceeds 1, infinite iff it is below 1; the value 1
     itself cannot occur, so the verdict is always decided.
     """
-    return _derivative_class(_record_sign(_auto_period(s))[1])
+    frac = Fraction(s)
+    return _derivative_class(_rational_period(frac, _auto_variant(frac)).sign()[1])
 
 
 def classify_form(form: LinearForm, s: RationalLike) -> DerivativeClass:
@@ -344,10 +296,11 @@ def classify_form(form: LinearForm, s: RationalLike) -> DerivativeClass:
     that of kernel_test on direction_at_rational(s), then classify_curve(s),
     from one expansion and one period map.
     """
-    rec = _auto_period(s)
-    if _in_kernel(form, *_record_chart(rec)):
+    frac = Fraction(s)
+    rec = _rational_period(frac, _auto_variant(frac))
+    if _in_kernel(form, *rec.chart()):
         return DerivativeClass.EXCEPTIONAL
-    return _derivative_class(_record_sign(rec)[1])
+    return _derivative_class(rec.sign()[1])
 
 
 def exponent_bound(e: Expansion) -> tuple[float, float]:
@@ -393,7 +346,8 @@ def generate_table(max_len: int, dedupe_complement: bool = True) -> list[HolderR
     reports = []
     for length in range(1, max_len + 1):
         for word in necklace_classes(length, dedupe_complement):
-            reports.append(holder_exponent(Expansion("", word).value()))
+            e = Expansion("", word)
+            reports.append(_report(e.value(), _RationalRecord(e)))
     reports.sort(key=lambda r: (-r.alpha, r.s))
     return reports
 

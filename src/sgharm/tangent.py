@@ -19,19 +19,17 @@ from typing import Optional, Union
 from .exact import (
     CHART_BASIS,
     DIFFERENCE_CONE,
+    ConeError,
     Expansion,
     ExpansionVariant,
     Mat2i,
     QuadraticValue,
     RationalLike,
     Vec3Q,
-    edge_word_matrix,
     quad_sign,
     _chart_fold,
     _prefix_bits,
     _rational_period,
-    _RationalRecord,
-    _to_chart,
 )
 from .harmonic import LinearForm
 
@@ -43,10 +41,6 @@ CONTRACTION_FACTOR = Fraction(3, 4)
 # Orientation of the chart along the side, frozen after sampling: the chart
 # decreases from 1/3 at parameter 0 to -1/3 at parameter 1.
 CHART_DECREASES = True
-
-
-class ConeError(ValueError):
-    """Vector is outside the difference cone."""
 
 
 class SideError(ValueError):
@@ -162,49 +156,6 @@ def direction_at(s: Union[Expansion, RationalLike], side: Side = Side.RIGHT,
     return ProjDir(chart, CHART_DIAMETER * CONTRACTION_FACTOR ** n, frac, side)
 
 
-def _chart_fixed_point(m: Mat2i, preperiod: str) -> tuple[int, int, int, int]:
-    """The exact direction chart at a rational parameter as integers (u, w, R,
-    D), for the chart (u + w*sqrt(D)) / R with R != 0.
-
-    m is the period map F of exact._period_map: a power of F is the period's
-    edge product, so F's projective map has the period's fixed points.  The
-    chart is the fixed point inside the chart interval, pushed through the
-    preperiod's projective map.  Both maps are read in the chart basis from
-    the edge products through exact._to_chart, up to a positive scale.
-    """
-    (p, q), (r, s) = _to_chart(m)
-    # fixed points of x -> (p*x + q) / (r*x + s): (p - s +- sqrt(D)) / (2*r);
-    # r != 0: each chart letter maps infinity and [-1, 1] into [-1, 1], and
-    # the swap of a W + complement(W) period fixes infinity
-    D = (s - p) ** 2 + 4 * r * q
-    if D < 0:
-        raise ValueError("projective map has no real fixed point")
-    u, R = (p - s, 2 * r) if r > 0 else (s - p, -2 * r)
-    # with R > 0, -1/3 <= (u + w*sqrt(D)) / R <= 1/3 is a sign test on
-    # each of 3*u + R + 3*w*sqrt(D) and 3*u - R + 3*w*sqrt(D)
-    inside = [w for w in (1, -1)
-              if quad_sign(3 * u + R, 3 * w, D) >= 0 >= quad_sign(3 * u - R, 3 * w, D)]
-    if len(inside) != 1:
-        raise ValueError("expected exactly one fixed point in the chart interval")
-    w, = inside
-    if preperiod:
-        (a, b), (c, d) = _to_chart(edge_word_matrix(preperiod).entries)
-        n0, n1, d0, d1 = a * u + b * R, a * w, c * u + d * R, c * w
-        norm = d0 * d0 - d1 * d1 * D
-        if norm == 0:
-            raise ConeError("chart left the domain of the projective map")
-        # (n0 + n1*sqrt(D)) / (d0 + d1*sqrt(D)), rationalised by the conjugate
-        u, w, R = n0 * d0 - n1 * d1 * D, n1 * d0 - n0 * d1, norm
-    return u, w, R, D
-
-
-def _record_chart(rec: _RationalRecord) -> tuple[int, int, int, int]:
-    """The record's _chart_fixed_point, computed on first read."""
-    if rec.chart is None:
-        rec.chart = _chart_fixed_point(rec.F, rec.e.preperiod)
-    return rec.chart
-
-
 def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadDir:
     """Exact one-sided direction at a rational parameter.
 
@@ -218,7 +169,7 @@ def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadD
     if side is None:
         side = Side.RIGHT if frac < 1 else Side.LEFT
     rec = _rational_period(frac, _side_variant(frac, side))
-    u, w, R, D = _record_chart(rec)
+    u, w, R, D = rec.chart()
     chart = QuadraticValue.from_pair(Fraction(u, R), Fraction(w, R), D)
     return QuadDir(chart=chart, period=rec.e.period, preperiod=rec.e.preperiod, side=side)
 

@@ -548,6 +548,17 @@ def test_direction_side_error(capsys):
     assert run(capsys, "direction", "0", "--side", "left")[0] == 3
 
 
+def test_cone_error_from_the_chart_fixed_point_exits_3(capsys, monkeypatch):
+    assert sgharm.ConeError is sgharm.tangent.ConeError is sgharm.exact.ConeError
+
+    def leave_the_cone(m, preperiod):
+        raise sgharm.ConeError("injected: chart left the cone")
+
+    monkeypatch.setattr(sgharm.exact, "_chart_fixed_point", leave_the_cone)
+    assert run(capsys, "direction", "5/7", "--exact") == (
+        3, "", "error: injected: chart left the cone\n")
+
+
 @pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
 def test_direction_nonfinite_tolerance(tol):
     # in a subprocess, so that an uncaught exception's traceback would show

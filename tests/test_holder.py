@@ -13,6 +13,7 @@ from sgharm.exact import (
     expand,
     expand_auto,
     lyndon_words,
+    _product_sign,
 )
 from sgharm.harmonic import FORM_PRESETS
 from sgharm.holder import (
@@ -36,7 +37,6 @@ from sgharm.holder import (
     _ln_half,
     _over_power_of_5,
     _period_sign,
-    _product_sign,
 )
 
 

@@ -1,10 +1,11 @@
-"""exact._rational_period memoises one rational's expansion and period map,
-with the chart fixed point and the exponent's sign read from them, so that
-the exponent, the classes and the exact tangent asked in turn at one point
-expand, fold and solve once.  No answer may depend on what the memo holds,
+"""exact._rational_period memoises one rational's record: its expansion and
+period map, from which the record computes the chart fixed point and the
+exponent's sign itself on first call, so that the exponent, the classes and
+the exact tangent asked in turn at one point expand, fold and solve once.  No answer may depend on what the memo holds,
 and it must stay smaller than the benchmark's batches of distinct rationals,
 or a round of a workload would read the results of the round before."""
 
+import ast
 import hashlib
 import importlib
 import json
@@ -20,7 +21,7 @@ import pytest
 import sgharm.exact
 import sgharm.holder
 import sgharm.tangent
-from sgharm.exact import ExpansionVariant, _rational_period
+from sgharm.exact import ExpansionVariant, _RationalRecord, _rational_period
 from sgharm.harmonic import FORM_PRESETS, LinearForm
 from sgharm.holder import DerivativeClass, HolderReport, classify_curve, classify_form, holder_exponent
 from sgharm.tangent import ConeError, Side, direction_at_rational
@@ -105,8 +106,8 @@ def _counted(monkeypatch, module, name, fail_first=None):
 
 
 @pytest.mark.parametrize("module, name, error, query", [
-    (sgharm.tangent, "_chart_fixed_point", ConeError("injected"), direction_at_rational),
-    (sgharm.holder, "_exponent_sign", AssertionError("injected"), classify_curve),
+    (sgharm.exact, "_chart_fixed_point", ConeError("injected"), direction_at_rational),
+    (sgharm.exact, "_exponent_sign", AssertionError("injected"), classify_curve),
 ])
 def test_a_failed_field_is_not_stored(monkeypatch, module, name, error, query):
     s = Fraction(5, 7)
@@ -126,8 +127,8 @@ def test_a_failed_field_is_not_stored(monkeypatch, module, name, error, query):
 
 
 def test_cache_clear_recomputes_both_fields(monkeypatch):
-    charts = _counted(monkeypatch, sgharm.tangent, "_chart_fixed_point")
-    signs = _counted(monkeypatch, sgharm.holder, "_exponent_sign")
+    charts = _counted(monkeypatch, sgharm.exact, "_chart_fixed_point")
+    signs = _counted(monkeypatch, sgharm.exact, "_exponent_sign")
     s = Fraction(3, 11)
     for cleared in range(1, 3):
         for _ in range(2):
@@ -168,6 +169,23 @@ def test_threads_racing_on_the_records_read_the_cold_answers():
     assert all(answers == want[s] for s, answers in got)
 
 
+def test_only_exact_stores_what_a_record_holds():
+    """exact imports no other module of the package, and its readers holder
+    and tangent call a record's methods: they assign no attribute and read
+    none of the values the record stores on first call."""
+    for node in ast.walk(ast.parse(Path(sgharm.exact.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not node.module.startswith("sgharm"), node.lineno
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("sgharm") for a in node.names), node.lineno
+    stored = {name for name in _RationalRecord.__slots__ if name.startswith("_")}
+    for module in (sgharm.holder, sgharm.tangent):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Attribute):
+                assert isinstance(node.ctx, ast.Load), (module.__name__, node.lineno)
+                assert node.attr not in stored, (module.__name__, node.lineno)
+
+
 def test_text_and_fraction_share_one_entry():
     holder_exponent("1/3")
     classify_form(FORM_PRESETS["psi"], Fraction(1, 3))
@@ -197,8 +215,8 @@ def test_no_round_replays_the_round_before(monkeypatch, tmp_path, workload, poin
     plan = workloads.make_plan(workload, 1)
     assert sum(spec["kind"] in ("short", "period") for spec in plan["ops"]) == points
     ops = workloads.make_ops(plan, str(BENCH.parent), str(tmp_path))
-    charts = _counted(monkeypatch, sgharm.tangent, "_chart_fixed_point")
-    signs = _counted(monkeypatch, sgharm.holder, "_exponent_sign")
+    charts = _counted(monkeypatch, sgharm.exact, "_chart_fixed_point")
+    signs = _counted(monkeypatch, sgharm.exact, "_exponent_sign")
     for _ in range(2):
         before = _rational_period.cache_info().misses
         charts.clear()
