@@ -760,9 +760,10 @@ class _RationalRecord:
 
 # Holds the records of a point's two one-sided expansions, so that the
 # exponent, the classes and the exact tangent asked in turn at one rational
-# expand, fold and compute the chart and the sign once.  No answer depends on
-# it, and it must stay smaller than any repeated batch of rationals, or a
-# batch's second pass reads stored results instead of computing them.
+# expand and fold once, and the record computes its chart and its sign
+# itself, once.  No answer depends on it, and it must stay smaller than any
+# repeated batch of rationals, or a batch's second pass reads stored results
+# instead of computing them.
 @lru_cache(maxsize=2)
 def _rational_period(s: Fraction, variant: ExpansionVariant) -> _RationalRecord:
     """The record of expand(s, variant)."""
