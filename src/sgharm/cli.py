@@ -16,6 +16,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .exact import Expansion
@@ -27,6 +28,7 @@ from .harmonic import (
     curve_point,
     curve_point_dyadic,
     harmonic_grid,
+    _positions,
 )
 from .holder import (
     DerivativeClass,
@@ -305,12 +307,18 @@ def cmd_render(args) -> int:
         level = args.level if args.level is not None else 4
         cap = os.environ.get("HARMONIC_GRID_CAP")
         grid = harmonic_grid(VECTOR_BOUNDARY, level, int(cap) if cap else DEFAULT_GRID_CAP)
+        m, _, flat = grid._lattice()
+        points = {}
+        for p, v in enumerate(flat):
+            if v is not None:
+                x, y = _project(v, width, height, margin)
+                points[p] = f"{x:.6f} {y:.6f}"
+        corners = iter(_positions(chain.from_iterable(grid.triangles), m - 1))
         segs = []
-        for a, b, c in sorted(grid.triangles):
+        # triples of flat indices sort as the triangles' key triples do
+        for a, b, c in sorted(zip(corners, corners, corners)):
             for p, q in ((a, b), (a, c), (b, c)):
-                pp = _project(grid.values[p], width, height, margin)
-                qq = _project(grid.values[q], width, height, margin)
-                segs.append(f"M {pp[0]:.6f} {pp[1]:.6f} L {qq[0]:.6f} {qq[1]:.6f}")
+                segs.append(f"M {points[p]} L {points[q]}")
         body = ('<path fill="none" stroke="black" stroke-width="0.5" d="'
                 + " ".join(segs) + '"/>')
     try:

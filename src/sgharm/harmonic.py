@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Union
 
 from .exact import (
@@ -171,14 +172,24 @@ def _lattice_fractions(size: int) -> list[Fraction]:
     return [Fraction(k, size) for k in range(size + 1)]
 
 
-def _position(key: GridKey, size: int) -> int:
-    """Flat index of a vertex key; ValueError when it is off the lattice."""
-    a, b = key
-    i, ra = divmod(a.numerator * size, a.denominator)
-    j, rb = divmod(b.numerator * size, b.denominator)
-    if ra or rb or i < 0 or j < 0 or i + j > size:
-        raise ValueError(f"vertex {key} is off the lattice of side 1/{size}")
-    return i * (size + 1) + j
+def _positions(keys, size: int) -> list[int]:
+    """Flat indices of vertex keys, in their order; ValueError when a key is
+    off the lattice."""
+    # a coordinate in lowest terms on the lattice has the denominator
+    # 2**k <= size, and size >> k is its step
+    step = {1 << k: size >> k for k in range(size.bit_length())}
+    m = size + 1
+    out = []
+    for key in keys:
+        (na, da), (nb, db) = key[0].as_integer_ratio(), key[1].as_integer_ratio()
+        sa, sb = step.get(da), step.get(db)
+        if sa is None or sb is None:
+            raise ValueError(f"vertex {key} is off the lattice of side 1/{size}")
+        i, j = na * sa, nb * sb
+        if i < 0 or j < 0 or i + j > size:
+            raise ValueError(f"vertex {key} is off the lattice of side 1/{size}")
+        out.append(i * m + j)
+    return out
 
 
 def _neighbours(p: int, size: int) -> list[int]:
@@ -215,15 +226,14 @@ class HarmonicGrid:
         size = 1 << self.level
         m = size + 1
         fr = _lattice_fractions(size)
-        return {k: {(fr[q // m], fr[q % m]) for q in _neighbours(_position(k, size), size)}
-                for k in self.values}
+        return {k: {(fr[q // m], fr[q % m]) for q in _neighbours(p, size)}
+                for k, p in zip(self.values, _positions(self.values, size))}
 
     def side_values(self) -> list[tuple[Fraction, object]]:
         """(parameter, value) pairs along the bottom side, sorted."""
-        size = 1 << self.level
         side = [(k, v) for k, v in self.values.items() if not k[1]]
-        side.sort(key=lambda kv: _position(kv[0], size))
-        return [(k[0], v) for k, v in side]
+        at = _positions([k for k, _ in side], 1 << self.level)
+        return [(k[0], v) for _, (k, v) in sorted(zip(at, side))]
 
     def _lattice(self) -> tuple[int, list[str], list]:
         """Row length of the flat lattice, the labels of its coordinates,
@@ -231,8 +241,8 @@ class HarmonicGrid:
         lists them in the order of their keys."""
         size = 1 << self.level
         flat = [None] * (size + 1) ** 2
-        for key, value in self.values.items():
-            flat[_position(key, size)] = value
+        for p, value in zip(_positions(self.values, size), self.values.values()):
+            flat[p] = value
         return size + 1, [str(f) for f in _lattice_fractions(size)], flat
 
     def to_csv(self) -> str:
@@ -257,9 +267,9 @@ class HarmonicGrid:
             vertices.append('{"x":"%s","y":"%s","value":%s}' % (labels[p // m], labels[p % m],
                                                                value))
             flat[p] = len(vertices) - 1  # from here on, the vertex's index
-        size = m - 1
-        tris = sorted(tuple(sorted(flat[_position(k, size)] for k in tri))
-                      for tri in self.triangles)
+        corners = iter(_positions(chain.from_iterable(self.triangles), m - 1))
+        tris = sorted(tuple(sorted((flat[a], flat[b], flat[c])))
+                      for a, b, c in zip(corners, corners, corners))
         return '{"level":%d,"vertices":[%s],"triangles":%s}' % (
             self.level, ",".join(vertices), json.dumps(tris, separators=(",", ":")))
 
@@ -284,50 +294,44 @@ def harmonic_grid(boundary, level: int, cap: int = DEFAULT_GRID_CAP) -> Harmonic
     scale = den * 5 ** level
     size = 1 << level
     m = size + 1
+
+    # Cells are triples of flat indices, split level by level into the
+    # children (s, st, su), (st, t, tu), (su, tu, u), so `cells` ends in the
+    # order of a level-by-level subdivision.  A vertex's value is a tuple of
+    # integers over the final scale den * 5**level.  A midpoint of a level-k
+    # cell is (2a + 2b + c) / 5 of the cell's corners, and the numerators of
+    # a level-k vertex are multiples of 5**(level - k): the corners start at
+    # the final scale, and each midpoint takes one factor 5 off those of its
+    # corners.  So every division by 5 is exact.  Cells meet only at
+    # corners, so each level sets three new midpoints per cell; a midpoint
+    # that was already set would leave the count short.
+    ints = {p: tuple(c.numerator * (scale // c.denominator) for c in cs)
+            for p, cs in zip((0, size * m, size), coords)}
+    cells = [(0, size * m, size)]
+    for depth in range(level):
+        children = []
+        for s, t, u in cells:
+            abc = tuple(zip(ints[s], ints[t], ints[u]))
+            st, su, tu = (s + t) >> 1, (s + u) >> 1, (t + u) >> 1
+            ints[st] = tuple([(2 * (a + b) + c) // 5 for a, b, c in abc])
+            ints[su] = tuple([(2 * (a + c) + b) // 5 for a, b, c in abc])
+            ints[tu] = tuple([(a + 2 * (b + c)) // 5 for a, b, c in abc])
+            children += ((s, st, su), (st, t, tu), (su, tu, u))
+        if len(ints) != (3 ** (depth + 2) + 3) // 2:
+            raise AssertionError(f"a midpoint of a level-{depth} cell was already set")
+        cells = children
+
+    # Keys and values in the order the cells first meet their vertices;
+    # each integer tuple is dropped once its value is made.
     fr = _lattice_fractions(size)
+    keys = dict.fromkeys(chain.from_iterable(cells))
     values: dict = {}
-    triangles = []
-
-    # A vertex is (flat index, key, values times den * 5**depth).  Cells are
-    # split depth first, children in the order (s, st, su), (st, t, tu),
-    # (su, tu, u), so the leaves come out in the order of a level-by-level
-    # subdivision, and `values` gets its keys in that order.  Cells meet
-    # only at corners: a midpoint is first met in the child listed first
-    # that holds it, and met once more later.  The bits 4, 2, 1 of `new`
-    # mark the corners s, t, u not met before.
-    def vertex(p, v):
-        return p, (fr[p // m], fr[p % m]), v
-
-    def store(new, vx):
-        _, key, v = vx
-        if new:
-            values[key] = (Vec3Q(*(Fraction(x, scale) for x in v)) if vector
-                           else Fraction(v[0], scale))
-            return
-        old = values.get(key)
-        if old is None or any(c.numerator * (scale // c.denominator) != x
-                              for c, x in zip(old.coords if vector else (old,), v)):
-            raise AssertionError(f"inconsistent value at vertex {key}")
-
-    def split(depth, new, s, t, u):
-        if depth == level:
-            store(new & 4, s)
-            store(new & 2, t)
-            store(new & 1, u)
-            triangles.append((s[1], t[1], u[1]))
-            return
-        (ps, ks, vs), (pt, kt, vt), (pu, ku, vu) = s, t, u
-        st = vertex((ps + pt) >> 1, tuple(2 * a + 2 * b + c for a, b, c in zip(vs, vt, vu)))
-        su = vertex((ps + pu) >> 1, tuple(2 * a + b + 2 * c for a, b, c in zip(vs, vt, vu)))
-        tu = vertex((pt + pu) >> 1, tuple(a + 2 * b + 2 * c for a, b, c in zip(vs, vt, vu)))
-        depth += 1
-        split(depth, new & 4 | 3, (ps, ks, tuple(5 * a for a in vs)), st, su)
-        split(depth, new & 2 | 1, st, (pt, kt, tuple(5 * b for b in vt)), tu)
-        split(depth, new & 1, su, tu, (pu, ku, tuple(5 * c for c in vu)))
-
-    split(0, 7, *(vertex(p, tuple(c.numerator * (den // c.denominator) for c in cs))
-                  for p, cs in zip((0, size * m, size), coords)))
-    return HarmonicGrid(level, values, tuple(triangles))
+    for p in keys:
+        key = keys[p] = (fr[p // m], fr[p % m])
+        v = ints.pop(p)
+        values[key] = (Vec3Q(*(Fraction(x, scale) for x in v)) if vector
+                       else Fraction(v[0], scale))
+    return HarmonicGrid(level, values, tuple((keys[s], keys[t], keys[u]) for s, t, u in cells))
 
 
 def check_harmonic(grid: HarmonicGrid) -> bool:
@@ -338,7 +342,7 @@ def check_harmonic(grid: HarmonicGrid) -> bool:
     """
     size = 1 << grid.level
     try:
-        positions = [_position(k, size) for k in grid.values]
+        positions = _positions(grid.values, size)
     except ValueError:
         return False
     vals = list(grid.values.values())
@@ -351,16 +355,19 @@ def check_harmonic(grid: HarmonicGrid) -> bool:
             flat[p] = c.numerator * (scale // c.denominator)
         flats.append(flat)
     corners = (0, size, size * (size + 1))
-    for p in positions:
-        if p in corners:
-            continue
-        around = _neighbours(p, size)
-        if len(around) != 4:
-            return False
-        for flat in flats:
-            a, b, c, d = (flat[q] for q in around)
-            if None in (a, b, c, d) or a + b + c + d != 4 * flat[p]:
+    try:
+        for p in positions:
+            if p in corners:
+                continue
+            around = _neighbours(p, size)
+            if len(around) != 4:
                 return False
+            a, b, c, d = around
+            for flat in flats:
+                if flat[a] + flat[b] + flat[c] + flat[d] != 4 * flat[p]:
+                    return False
+    except TypeError:  # a neighbour is None: it is not in the grid
+        return False
     return True
 
 

@@ -600,14 +600,18 @@ def test_render_triangle_segments(tmp_path, capsys):
 
 # sha256 of `render triangle --level 4` at the default canvas, as written by
 # the Fraction-keyed grid that the integer-lattice build replaced
-TRIANGLE_LEVEL_4_SHA256 = "b35a2ecb2161a6a555f6e4e73c6c7bd34e2c3283ec2a4b1cb12b1c2a37d2be02"
+TRIANGLE_SHA256 = {
+    4: "b35a2ecb2161a6a555f6e4e73c6c7bd34e2c3283ec2a4b1cb12b1c2a37d2be02",
+    7: "71a49f57bf20134526a7d9a51dabefc686ed35cc54c1e635c3f03fa97670d163",
+}
 
 
-def test_render_triangle_level_4_unchanged(tmp_path, capsys):
+@pytest.mark.parametrize("level", TRIANGLE_SHA256)
+def test_render_triangle_unchanged(tmp_path, capsys, level):
     out_file = tmp_path / "tri.svg"
-    code, _, _ = run(capsys, "render", "triangle", "--level", "4", "--out", str(out_file))
+    code, _, _ = run(capsys, "render", "triangle", "--level", str(level), "--out", str(out_file))
     assert code == 0
-    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == TRIANGLE_LEVEL_4_SHA256
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == TRIANGLE_SHA256[level]
 
 
 def test_render_level_bounds(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import random
@@ -277,7 +278,8 @@ def test_check_rejects_deleted_vertex():
 
 
 @pytest.mark.parametrize("off", [(Fraction(1, 3), Fraction(0)), (Fraction(0), Fraction(1, 3)),
-                                 (Fraction(-1, 32), Fraction(0)), (Fraction(1), Fraction(1, 2))])
+                                 (Fraction(-1, 32), Fraction(0)), (Fraction(1), Fraction(1, 2)),
+                                 (Fraction(1, 64), Fraction(0))])
 def test_check_rejects_key_off_the_lattice(off):
     grid = harmonic_grid(VECTOR_BOUNDARY, 5)
     grid.values[off] = grid.values.pop(_perturbed_key(grid))
@@ -408,6 +410,32 @@ def test_grid_matches_fraction_subdivision(level):
         assert grid.to_json() == text
         assert grid.to_csv() == csv_text
         assert grid.side_values() == side
+
+
+# One sha256 per boundary over levels 0-8 of each grid's vertices and values
+# in order, its triangles, to_json, to_csv and side_values, recorded from the
+# depth-first builder that looked its vertices up by Fraction keys.
+GRID_GOLDEN_SHA256 = {
+    "vector": (VECTOR_BOUNDARY,
+               "676e7decdce21d48346889641c662729fa82769ea049708bdd1566161e394aee"),
+    "over_997": (BoundaryTriple(Fraction(-311, 997), Fraction(640, 997), Fraction(5, 997)),
+                 "147c79d06756d7c6aa321870928ca633b4ed088de0ad48cb3d029d5f64865ac3"),
+    "integers_and_a_half": (BoundaryTriple(1, Fraction(-1, 2), 3),
+                            "9d6259139ede92aac6b76a44635ef01d08d04265c576dd9bbb82f7955a520f79"),
+}
+
+
+@pytest.mark.parametrize("name", GRID_GOLDEN_SHA256)
+def test_grid_outputs_match_golden_hashes(name):
+    boundary, want = GRID_GOLDEN_SHA256[name]
+    digest = hashlib.sha256()
+    for level in range(9):
+        grid = harmonic_grid(boundary, level)
+        for part in (list(grid.values.items()), grid.triangles, grid.side_values()):
+            digest.update(repr(part).encode())
+        digest.update(grid.to_json().encode())
+        digest.update(grid.to_csv().encode())
+    assert digest.hexdigest() == want
 
 
 def test_grid_rejects_mixed_boundary():
