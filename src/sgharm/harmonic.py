@@ -299,12 +299,12 @@ def harmonic_grid(boundary, level: int, cap: int = DEFAULT_GRID_CAP) -> Harmonic
     # children (s, st, su), (st, t, tu), (su, tu, u), so `cells` ends in the
     # order of a level-by-level subdivision.  A vertex's value is a tuple of
     # integers over the final scale den * 5**level.  A midpoint of a level-k
-    # cell is (2a + 2b + c) / 5 of the cell's corners, and the numerators of
-    # a level-k vertex are multiples of 5**(level - k): the corners start at
-    # the final scale, and each midpoint takes one factor 5 off those of its
-    # corners.  So every division by 5 is exact.  Cells meet only at
-    # corners, so each level sets three new midpoints per cell; a midpoint
-    # that was already set would leave the count short.
+    # cell is (2a + 2b + c) / 5 of the cell's corners.  Because the corners
+    # start at the final scale, the numerators of every vertex of a level-k
+    # cell are multiples of 5**(level - k), so each division by 5 is exact
+    # and keeps that true at level k + 1.  Cells meet only at corners, so
+    # each level sets three new midpoints per cell; a midpoint that was
+    # already set would leave the count short.
     ints = {p: tuple(c.numerator * (scale // c.denominator) for c in cs)
             for p, cs in zip((0, size * m, size), coords)}
     cells = [(0, size * m, size)]
@@ -317,7 +317,7 @@ def harmonic_grid(boundary, level: int, cap: int = DEFAULT_GRID_CAP) -> Harmonic
             ints[su] = tuple([(2 * (a + c) + b) // 5 for a, b, c in abc])
             ints[tu] = tuple([(a + 2 * (b + c)) // 5 for a, b, c in abc])
             children += ((s, st, su), (st, t, tu), (su, tu, u))
-        if len(ints) != (3 ** (depth + 2) + 3) // 2:
+        if len(ints) != (3 ** (depth + 2) + 3) // 2:  # the vertices of level depth + 1
             raise AssertionError(f"a midpoint of a level-{depth} cell was already set")
         cells = children
 

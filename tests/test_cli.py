@@ -598,8 +598,9 @@ def test_render_triangle_segments(tmp_path, capsys):
     assert text.count("M ") == 9
 
 
-# sha256 of `render triangle --level 4` at the default canvas, as written by
-# the Fraction-keyed grid that the integer-lattice build replaced
+# sha256 of `render triangle` at the default canvas: level 4 as written by
+# the Fraction-keyed grid that the integer-lattice build replaced, level 7 as
+# written before render read the grid through flat lattice indices
 TRIANGLE_SHA256 = {
     4: "b35a2ecb2161a6a555f6e4e73c6c7bd34e2c3283ec2a4b1cb12b1c2a37d2be02",
     7: "71a49f57bf20134526a7d9a51dabefc686ed35cc54c1e635c3f03fa97670d163",
