@@ -19,34 +19,9 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
-from .exact import Expansion
-from .harmonic import (
-    DEFAULT_GRID_CAP,
-    GridCapExceeded,
-    LinearForm,
-    VECTOR_BOUNDARY,
-    curve_point,
-    curve_point_dyadic,
-    harmonic_grid,
-    _positions,
-)
-from .holder import (
-    DerivativeClass,
-    TableCapExceeded,
-    classify_form,
-    generate_table,
-    holder_exponent,
-    lyapunov_sample,
-    maxrun_experiment,
-    table_csv,
-)
-from .tangent import (
-    KernelVerdict,
-    Side,
-    direction_at,
-    direction_at_rational,
-    direction_vector,
-)
+# Each command imports the modules it runs, so a call loads only those; the
+# two cap errors that main maps to exit 3 come from exact for that reason.
+from .exact import Expansion, GridCapExceeded, TableCapExceeded
 
 # Frozen reference rows for `table 7 --check`: one row per necklace class of
 # period length <= 7 (complement classes merged), as
@@ -117,7 +92,9 @@ def parse_parameter(text: str) -> Fraction:
     return value
 
 
-def _parse_form(text: str) -> LinearForm:
+def _parse_form(text: str):
+    from .harmonic import LinearForm
+
     try:
         return LinearForm.parse(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -151,6 +128,8 @@ def _long_integers():
 
 
 def cmd_eval(args) -> int:
+    from .harmonic import curve_point, curve_point_dyadic
+
     s = args.s
     if args.terms > EVAL_TERMS_CAP:
         raise CliDomainError(f"terms {args.terms} exceeds the cap {EVAL_TERMS_CAP}")
@@ -174,6 +153,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_exponent(args) -> int:
+    from .holder import holder_exponent, table_csv
+
     report = holder_exponent(args.s)
     if args.format == "json":
         _emit(json.dumps(report.to_dict()))
@@ -189,6 +170,9 @@ def cmd_exponent(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .holder import DerivativeClass, classify_form
+    from .tangent import KernelVerdict
+
     cls = classify_form(args.form, args.s)
     # classify_form reports a direction in the form's kernel as EXCEPTIONAL
     verdict = (KernelVerdict.IN_KERNEL if cls is DerivativeClass.EXCEPTIONAL
@@ -224,6 +208,8 @@ def _check_table(reports) -> int:
 
 
 def cmd_table(args) -> int:
+    from .holder import generate_table, table_csv
+
     if args.check and (args.max_len != 7 or args.no_dedupe_complement):
         raise CliDomainError("--check requires max_len 7 with complement dedupe")
     reports = generate_table(args.max_len, dedupe_complement=not args.no_dedupe_complement)
@@ -243,6 +229,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_direction(args) -> int:
+    from .tangent import Side, direction_at, direction_at_rational, direction_vector
+
     s = args.s
     side = Side(args.side)
     out: dict = {"s": str(s), "side": side.value}
@@ -287,6 +275,9 @@ def _svg(width: int, height: int, body: str) -> str:
 
 
 def cmd_render(args) -> int:
+    from .harmonic import (DEFAULT_GRID_CAP, VECTOR_BOUNDARY, curve_point_dyadic, harmonic_grid,
+                           _positions)
+
     width, height = args.width, args.height
     if width <= 0 or height <= 0:
         raise CliDomainError("canvas must be positive")
@@ -332,6 +323,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from .holder import lyapunov_sample, maxrun_experiment
+
     if args.name == "maxrun":
         rows = maxrun_experiment(args.max_len)
         _emit(json.dumps({

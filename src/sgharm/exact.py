@@ -2,7 +2,8 @@
 
 Integer-scaled transition matrices and their plane restrictions, quadratic
 eigenvalues, eventually periodic binary expansions of rationals with the
-exponent sign and tangent chart read from their periods, and the necklace
+exponent sign and tangent chart read from their periods, the exact kernel
+test of a linear form at such a chart, and the necklace
 combinatorics behind the exponent table.  Everything here is pure and
 exact: no floats except in explicitly named conversion helpers.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -477,6 +478,22 @@ def _chart_fixed_point(m: Mat2i, preperiod: str) -> tuple[int, int, int, int]:
     return u, w, R, D
 
 
+@lru_cache(maxsize=64)  # forms are immutable, and a few presets serve most calls
+def _form_chart_coeffs(form: Callable[[Vec3Q], Fraction]) -> tuple[Fraction, Fraction]:
+    # value along direction with chart x is proportional to B*x + A
+    return (form(CHART_BASIS[1]), form(CHART_BASIS[0]))
+
+
+def _in_kernel(form: Callable[[Vec3Q], Fraction], u: int, w: int, R: int, D: int) -> bool:
+    """Exact test of whether the direction with chart (u + w*sqrt(D)) / R,
+    R != 0, lies in the kernel of a harmonic.LinearForm."""
+    A, B = _form_chart_coeffs(form)
+    # R * (B*x + A) = A*R + B*u + B*w*sqrt(D), times the positive common
+    # denominator of A and B
+    a, b = A.numerator * B.denominator, B.numerator * A.denominator
+    return quad_sign(a * R + b * u, b * w, D) == 0
+
+
 @dataclass(frozen=True)
 class QuadraticValue:
     """Exact number (t + sqrt(d))/2, or (t - sqrt(d))/2 when plus_root is False."""
@@ -686,6 +703,17 @@ def _prefix_bits(s: RationalLike, n: int, variant: ExpansionVariant) -> str:
     else:
         head -= 1
     return format(head // s.denominator, f"0{n}b") if n else ""
+
+
+# Capacity errors of harmonic_grid and generate_table.  They live here, which
+# every command imports, so that the CLI maps them to exit 3 without importing
+# the harmonic and holder modules.
+class GridCapExceeded(RuntimeError):
+    """Requested grid level is above the configured cap."""
+
+
+class TableCapExceeded(RuntimeError):
+    """Requested table length is above the configured cap."""
 
 
 # Longest period that expand() builds, above the 10**6 letters of the longest

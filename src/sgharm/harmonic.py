@@ -19,6 +19,7 @@ from .exact import (
     E1,
     EW,
     Expansion,
+    GridCapExceeded,
     RationalLike,
     Vec3Q,
     _GEN3,
@@ -30,9 +31,6 @@ from .exact import (
 CENTROID = Vec3Q.of(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 
 DEFAULT_GRID_CAP = 10
-
-class GridCapExceeded(RuntimeError):
-    """Requested grid level is above the configured cap."""
 
 
 @dataclass(frozen=True)

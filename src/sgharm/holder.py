@@ -9,18 +9,17 @@ and the two exploratory experiments.
 from __future__ import annotations
 
 import math
-import random
-import statistics
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .exact import (
     Expansion,
     QuadraticValue,
     RationalLike,
+    TableCapExceeded,
     max_cyclic_run,
     necklace_classes,
     transition_density,
@@ -28,13 +27,15 @@ from .exact import (
     _exponent_sign,
     _fold2,
     _fold_bits,
+    _in_kernel,
     _mul2,
     _period_map,
     _rational_period,
     _RationalRecord,
 )
-from .harmonic import LinearForm
-from .tangent import _in_kernel
+
+if TYPE_CHECKING:
+    from .harmonic import LinearForm
 
 LN2 = math.log(2.0)
 LN5 = math.log(5.0)
@@ -43,10 +44,6 @@ LN5 = math.log(5.0)
 MIN_EXPONENT = math.log2(5.0 / 3.0)
 
 TABLE_LENGTH_CAP = 20
-
-
-class TableCapExceeded(RuntimeError):
-    """Requested table length is above the configured cap."""
 
 
 class DerivativeClass(Enum):
@@ -387,6 +384,9 @@ def lyapunov_sample(nbits: int, trials: int, seed: int) -> dict:
     Deterministic for a fixed seed.  Small nbits give noisy estimates and
     are flagged as low confidence.
     """
+    import random
+    import statistics
+
     if nbits < 1 or trials < 1:
         raise ValueError("nbits and trials must be >= 1")
     rng = random.Random(seed)

@@ -13,11 +13,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .exact import (
-    CHART_BASIS,
     DIFFERENCE_CONE,
     ConeError,
     Expansion,
@@ -26,12 +24,15 @@ from .exact import (
     QuadraticValue,
     RationalLike,
     Vec3Q,
-    quad_sign,
     _chart_fold,
+    _form_chart_coeffs,
+    _in_kernel,
     _prefix_bits,
     _rational_period,
 )
-from .harmonic import LinearForm
+
+if TYPE_CHECKING:
+    from .harmonic import LinearForm
 
 CHART_LO = Fraction(-1, 3)
 CHART_HI = Fraction(1, 3)
@@ -172,22 +173,6 @@ def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadD
     u, w, R, D = rec.chart()
     chart = QuadraticValue.from_pair(Fraction(u, R), Fraction(w, R), D)
     return QuadDir(chart=chart, period=rec.e.period, preperiod=rec.e.preperiod, side=side)
-
-
-@lru_cache(maxsize=64)  # forms are immutable, and a few presets serve most calls
-def _form_chart_coeffs(form: LinearForm) -> tuple[Fraction, Fraction]:
-    # value along direction with chart x is proportional to B*x + A
-    return (form(CHART_BASIS[1]), form(CHART_BASIS[0]))
-
-
-def _in_kernel(form: LinearForm, u: int, w: int, R: int, D: int) -> bool:
-    """Exact test of whether the direction with chart (u + w*sqrt(D)) / R,
-    R != 0, lies in the form's kernel."""
-    A, B = _form_chart_coeffs(form)
-    # R * (B*x + A) = A*R + B*u + B*w*sqrt(D), times the positive common
-    # denominator of A and B
-    a, b = A.numerator * B.denominator, B.numerator * A.denominator
-    return quad_sign(a * R + b * u, b * w, D) == 0
 
 
 MAX_REFINE_ERROR = Fraction(1, 2 ** 256)

@@ -13,6 +13,8 @@ import pytest
 import sgharm
 import sgharm.cli
 import sgharm.exact
+import sgharm.harmonic
+import sgharm.holder
 import sgharm.tangent
 from sgharm.cli import (
     CURVE_LEVEL_CAP,
@@ -88,8 +90,8 @@ def test_eval_terms_cap(capsys, monkeypatch):
 
     code, out, _ = run(capsys, "eval", "1/3", "-n", str(EVAL_TERMS_CAP), "--format", "json")
     assert code == 0 and json.loads(out)["error_bound"] == 5e-324
-    monkeypatch.setattr(sgharm.cli, "curve_point", no_work)
-    monkeypatch.setattr(sgharm.cli, "curve_point_dyadic", no_work)
+    monkeypatch.setattr(sgharm.harmonic, "curve_point", no_work)
+    monkeypatch.setattr(sgharm.harmonic, "curve_point_dyadic", no_work)
     for s in ("1/3", "1/2"):
         code, _, err = run(capsys, "eval", s, "-n", str(EVAL_TERMS_CAP + 1))
         assert code == 3 and f"exceeds the cap {EVAL_TERMS_CAP}" in err
@@ -191,6 +193,33 @@ def test_eval_and_direction_at_huge_denominators():
     want = _curve_from_bits("0" * 48).floats()
     assert _cli_subprocess("eval", s).strip() == (
         " ".join(f"{c:.6g}" for c in want) + f"  error<={approx_error_bound(48):.3g}")
+
+
+# the modules of sgharm (and mpmath) that one command loads besides exact
+LOADED_BY_COMMAND = (
+    (("eval", "1/3"), {"harmonic"}),
+    (("render", "triangle", "--level", "2", "--out", "{tmp}"), {"harmonic"}),
+    (("direction", "1/3"), {"tangent"}),
+    (("exponent", "1/3"), {"holder", "mpmath"}),
+    (("table", "3"), {"holder", "mpmath"}),
+    (("experiment", "lyapunov", "--bits", "64", "--trials", "2"), {"holder"}),
+    (("classify", "1/3", "phi"), {"harmonic", "holder", "tangent"}),
+)
+
+
+@pytest.mark.parametrize("argv, loaded", LOADED_BY_COMMAND,
+                         ids=[" ".join(argv[:2]) for argv, _ in LOADED_BY_COMMAND])
+def test_each_command_loads_only_its_modules(tmp_path, argv, loaded):
+    # the CLI as users run it (as __main__, so sgharm.cli itself is not
+    # imported); -X importtime names every module it imports
+    argv = [a.format(tmp=tmp_path / "t.svg") for a in argv]
+    proc = _python_process("-X", "importtime", "-m", "sgharm.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    assert {"sgharm", "sgharm.exact"} <= names
+    candidates = {"harmonic", "holder", "tangent", "mpmath"}
+    assert {m for m in candidates if m in names or f"sgharm.{m}" in names} == loaded
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +326,11 @@ def test_table_check_passes(capsys):
 
 
 def test_table_check_requires_default_shape(capsys, monkeypatch):
-    import sgharm.cli
-
     def no_work(*args, **kwargs):
         raise AssertionError("table built before --check rejected its shape")
 
     # the shape is rejected before the table is built
-    monkeypatch.setattr(sgharm.cli, "generate_table", no_work)
+    monkeypatch.setattr(sgharm.holder, "generate_table", no_work)
     for argv in (("table", "6", "--check"), ("table", "20", "--check"),
                  ("table", "7", "--check", "--no-dedupe-complement")):
         code, out, err = run(capsys, *argv)
@@ -325,6 +352,24 @@ def test_table_csv_and_json(capsys):
 
 def test_table_cap(capsys):
     assert run(capsys, "table", "25")[0] == 3
+    assert run(capsys, "table", "21") == (3, "", "error: max_len 21 exceeds cap 20\n")
+
+
+def test_cap_errors_are_exacts_classes():
+    # main maps them to exit 3 without importing harmonic or holder
+    assert sgharm.harmonic.GridCapExceeded is sgharm.exact.GridCapExceeded
+    assert sgharm.holder.TableCapExceeded is sgharm.exact.TableCapExceeded
+    assert sgharm.GridCapExceeded is sgharm.exact.GridCapExceeded
+    assert sgharm.TableCapExceeded is sgharm.exact.TableCapExceeded
+
+
+def test_other_runtime_errors_are_not_exit_3(monkeypatch):
+    def fails(*args, **kwargs):
+        raise RuntimeError("not a cap")
+
+    monkeypatch.setattr(sgharm.harmonic, "curve_point", fails)
+    with pytest.raises(RuntimeError, match="not a cap"):
+        main(["eval", "1/3"])
 
 
 def test_table_determinism(capsys):
@@ -616,12 +661,11 @@ def test_render_triangle_unchanged(tmp_path, capsys, level):
 
 
 def test_render_level_bounds(tmp_path, capsys, monkeypatch):
-    import sgharm.cli
-
     def no_work(*args, **kwargs):
         raise AssertionError("render did work above the cap")
 
-    monkeypatch.setattr(sgharm.cli, "curve_point_dyadic", no_work)
+    monkeypatch.setattr(sgharm.harmonic, "curve_point_dyadic", no_work)
+    monkeypatch.setattr(sgharm.harmonic, "harmonic_grid", no_work)
     out_file = tmp_path / "curve.svg"
     for target, level in (("curve", -2), ("triangle", -1)):
         code, out, err = run(capsys, "render", target, "--level", str(level), "--out", str(out_file))
@@ -629,6 +673,13 @@ def test_render_level_bounds(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "render", "curve", "--level", str(CURVE_LEVEL_CAP + 1),
                          "--out", str(out_file))
     assert code == 3 and out == "" and f"exceeds the cap {CURVE_LEVEL_CAP}" in err
+    assert not out_file.exists()
+
+
+def test_render_triangle_above_the_grid_cap(tmp_path, capsys):
+    out_file = tmp_path / "tri.svg"
+    code, out, err = run(capsys, "render", "triangle", "--level", "11", "--out", str(out_file))
+    assert (code, out, err) == (3, "", "error: level 11 exceeds grid cap 10\n")
     assert not out_file.exists()
 
 
@@ -659,8 +710,6 @@ def test_experiment_maxrun(capsys):
 
 
 def test_experiment_maxrun_cap(capsys, monkeypatch):
-    import sgharm.holder
-
     def no_work(*args, **kwargs):
         raise AssertionError("maxrun did work above the cap")
 
@@ -689,7 +738,7 @@ def test_experiment_lyapunov_caps(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("lyapunov did work above the cap")
 
-    monkeypatch.setattr(sgharm.cli, "lyapunov_sample", no_work)
+    monkeypatch.setattr(sgharm.holder, "lyapunov_sample", no_work)
     for bits, trials, cap in ((LYAPUNOV_BITS_CAP + 1, 1, LYAPUNOV_BITS_CAP),
                               (1, LYAPUNOV_TRIALS_CAP + 1, LYAPUNOV_TRIALS_CAP),
                               (LYAPUNOV_BITS_CAP, LYAPUNOV_LETTERS_CAP // LYAPUNOV_BITS_CAP + 1,
