@@ -56,8 +56,10 @@ REFERENCE_ROWS = (
 CURVE_LEVEL_CAP = 16
 # `eval --terms`: the error bound 2 * (3/5)**terms reaches its floor 5e-324 near 1460
 EVAL_TERMS_CAP = 4096
-# `experiment lyapunov`: the slowest accepted run, 2**16 bits x 16 trials, takes
-# about 0.5 s end to end; each trial also costs about 1.5 us however short it is
+# `experiment lyapunov`: the slowest accepted runs, 2**16 bits x 16 trials and
+# 2**15 x 32, take about 0.2 s end to end, as streams above 2048 bits are
+# combined from cut 1024-bit blocks; each trial also costs about 1.5 us however
+# short it is
 LYAPUNOV_BITS_CAP = 2 ** 16
 LYAPUNOV_TRIALS_CAP = 2 ** 16
 LYAPUNOV_LETTERS_CAP = 2 ** 20  # bits x trials

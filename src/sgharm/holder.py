@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .exact import (
     Expansion,
+    Mat2i,
     QuadraticValue,
     RationalLike,
     TableCapExceeded,
@@ -217,9 +218,97 @@ def _ln_big(x: int) -> float:
     return math.log(x >> shift) + shift * LN2
 
 
-def _estimate(entries, n: int) -> float:
+# A ball (m, k, r) is an integer matrix m, a shift k and a radius r: it holds
+# every matrix whose entries lie within r * 2**k of those of m * 2**k.  Balls
+# keep _KEPT_BITS bits of their largest entry, enough for _ln_big's 64.
+_KEPT_BITS = 96
+# _stream_estimate folds streams exactly in blocks of _BLOCK letters.
+_BLOCK = 1024
+
+Ball = tuple[Mat2i, int, int]
+
+
+def _ball(m: Mat2i, k: int = 0, r: int = 0) -> Ball:
+    """The ball (m, k, r), with m floored to _KEPT_BITS bits and the radius
+    widened to cover the cut."""
+    (a, b), (c, d) = m
+    s = max(a.bit_length(), b.bit_length(), c.bit_length(), d.bit_length()) - _KEPT_BITS
+    if s <= 0:
+        return m, k, r
+    return ((a >> s, b >> s), (c >> s, d >> s)), k + s, -(-r >> s) + 1
+
+
+def _ball_mul(x: Ball, y: Ball) -> Ball:
+    """A ball holding every product of a matrix of x and a matrix of y."""
+    (m, k, r), (n, j, q) = x, y
+    am, an = max(map(abs, m[0] + m[1])), max(map(abs, n[0] + n[1]))
+    return _ball(_mul2(m, n), k + j, 2 * (am * q + r * an + r * q))
+
+
+def _ball_power(m: Mat2i, e: int) -> Ball:
+    """A ball holding m**e, by squaring."""
+    out, base = (((1, 0), (0, 1)), 0, 0), _ball(m)
+    while e:
+        if e & 1:
+            out = _ball_mul(out, base)
+        e >>= 1
+        if e:
+            base = _ball_mul(base, base)
+    return out
+
+
+def _certified(ball: Ball, n: int) -> Optional[float]:
+    """The exponent estimate (n ln 5 - ln ||M||_F) / (n ln 2) shared by every
+    integer product M of n letters in the ball, or None if they differ.
+
+    _ln_big reads only the bit length nb of the sum of squares and the
+    double nearest to its top 64 bits, so both ends of the ball's bound on
+    the sum must give the same nb > 512 and the same double.
+    """
+    m, k, r = ball
+    lo = hi = 0
+    for e in map(abs, m[0] + m[1]):
+        hi += (e + r) * (e + r)
+        if e > r:
+            lo += (e - r) * (e - r)
+    nb = lo.bit_length()
+    shift = nb - 64
+    if shift < 0 or nb + 2 * k <= 512 or hi.bit_length() != nb:
+        return None
+    top = lo >> shift
+    if float(top) != float(hi >> shift):
+        return None
+    return (n * LN5 - 0.5 * (math.log(top) + (shift + 2 * k) * LN2)) / (n * LN2)
+
+
+def _estimate(entries: Mat2i, n: int) -> float:
+    """The exponent estimate of n letters whose exact product is entries."""
     (a, b), (c, d) = entries
+    # entries below 2**255 square to below 2**512, which _ln_big reads whole
+    if max(a.bit_length(), b.bit_length(), c.bit_length(), d.bit_length()) > 255:
+        est = _certified(_ball(entries), n)
+        if est is not None:
+            return est
     return (n * LN5 - 0.5 * _ln_big(a * a + b * b + c * c + d * d)) / (n * LN2)
+
+
+def _stream_estimate(x: int, n: int) -> float:
+    """_estimate(_fold_bits(x, n), n), with the blocks of a long stream
+    folded exactly and multiplied as balls in a balanced tree, whose depth
+    bounds how far the radius grows."""
+    if n <= 2 * _BLOCK:
+        return _estimate(_fold_bits(x, n), n)
+    head = n % _BLOCK or _BLOCK  # the first block is the short one
+    mask = (1 << _BLOCK) - 1
+    level = [_ball(_fold_bits(x >> (n - head), head))]
+    level += [_ball(_fold_bits(x >> shift & mask, _BLOCK))
+              for shift in range(n - head - _BLOCK, -1, -_BLOCK)]
+    while len(level) > 1:
+        pairs = iter(level)
+        odd = level[-1:] if len(level) % 2 else []
+        level = list(map(_ball_mul, pairs, pairs)) + odd
+    est = _certified(level[0], n)
+    return _estimate(_fold_bits(x, n), n) if est is None else est
 
 
 def exponent_estimate(bits: str, ns: Optional[Iterable[int]] = None) -> EstimateTrace:
@@ -249,8 +338,9 @@ def _mat_power(m, k: int):
     while k:
         if k & 1:
             out = _mul2(out, base)
-        base = _mul2(base, base)
         k >>= 1
+        if k:
+            base = _mul2(base, base)
     return out
 
 
@@ -258,7 +348,9 @@ def estimate_at_bits(preperiod: str, period: str, nbits: int) -> float:
     """Single estimate at exactly nbits letters of preperiod + period-cycle.
 
     Equivalent to exponent_estimate on the expanded word but computed by
-    powering the period map (exact._period_map), so large nbits stay cheap.
+    powering the period map (exact._period_map) as a ball, so large nbits
+    stay cheap; the exact power is taken only when the ball does not fix
+    the estimate.
     """
     if nbits < 1:
         raise ValueError("nbits must be >= 1")
@@ -267,12 +359,15 @@ def estimate_at_bits(preperiod: str, period: str, nbits: int) -> float:
     head = preperiod[:nbits]
     m = _fold2(head)
     rest = nbits - len(head)
-    if rest:
-        f, h = _period_map(period)
-        q, r = divmod(rest, len(period))
-        m = _mul2(m, _mat_power(f, q * (len(period) // h)))
-        m = _mul2(m, _fold2(period[:r]))
-    return _estimate(m, nbits)
+    if not rest:
+        return _estimate(m, nbits)
+    f, h = _period_map(period)
+    q, r = divmod(rest, len(period))
+    e, tail = q * (len(period) // h), _fold2(period[:r])
+    est = _certified(_ball_mul(_ball_mul(_ball(m), _ball_power(f, e)), _ball(tail)), nbits)
+    if est is None:
+        est = _estimate(_mul2(_mul2(m, _mat_power(f, e)), tail), nbits)
+    return est
 
 
 def classify_curve(s: RationalLike) -> DerivativeClass:
@@ -392,7 +487,7 @@ def lyapunov_sample(nbits: int, trials: int, seed: int) -> dict:
     rng = random.Random(seed)
     estimates = []
     for _ in range(trials):
-        estimates.append(_estimate(_fold_bits(rng.getrandbits(nbits), nbits), nbits))
+        estimates.append(_stream_estimate(rng.getrandbits(nbits), nbits))
     above = sum(e > 1.0 for e in estimates)
     return {
         "nbits": nbits,

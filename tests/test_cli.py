@@ -731,6 +731,24 @@ def test_experiment_lyapunov_reproducible(capsys):
     assert data["trials"] == 8 and data["seed"] == 7
 
 
+# sha256 of the stdout, recorded before the estimates were read off balls: the
+# benchmark's oracle allows 1e-9, so only this catches an estimate moved by an ulp
+LYAPUNOV_STDOUT_SHA256 = {
+    (): "a105f0113a96cb52c68b58246c80662d5a4577a7cd1a6829ee0089666da4819e",
+    ("--bits", "32768", "--trials", "32"):
+        "eca82a900eed93d790ca1b37f24ce7586040baa8042d2ef87437381c69d8cf3c",
+    ("--bits", "65536", "--trials", "16"):
+        "52bfff882965f259a22eb54a410377131e2971130200b6dcc3d53a052f633eda",
+}
+
+
+@pytest.mark.parametrize("args", list(LYAPUNOV_STDOUT_SHA256))
+def test_experiment_lyapunov_stdout_is_unchanged(capsys, args):
+    code, out, _ = run(capsys, "experiment", "lyapunov", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LYAPUNOV_STDOUT_SHA256[args]
+
+
 def test_experiment_lyapunov_caps(capsys, monkeypatch):
     code, out, err = run(capsys, "experiment", "lyapunov", "--bits", "-70000", "--trials", "-70000")
     assert code == 3 and out == "" and "must be >= 1" in err
