@@ -302,14 +302,19 @@ def _fold_bits(x: int, n: int) -> Mat2i:
             # the left half takes half the runs, so only the last run is short
             mid = lo + (hi - lo + _RUN - 1) // _RUN // 2 * _RUN
             return _mul2(tree(lo, mid), tree(mid, hi))
-        level = leaves[lo:hi]
-        while len(level) > 1:
-            pairs = iter(level)
-            odd = level[-1:] if len(level) % 2 else []
-            level = list(map(_mul2, pairs, pairs)) + odd
-        return level[0]
+        return _pairwise(leaves[lo:hi], _mul2)
 
     return tree(0, len(leaves))
+
+
+def _pairwise(level: list, mul: Callable):
+    """The left-to-right product of a nonempty list under an associative mul,
+    multiplied in pairs level by level, so that operands of equal size meet."""
+    while len(level) > 1:
+        pairs = iter(level)
+        odd = level[-1:] if len(level) % 2 else []
+        level = list(map(mul, pairs, pairs)) + odd
+    return level[0]
 
 
 def _fold2(word: str) -> Mat2i:

@@ -30,6 +30,7 @@ from .exact import (
     _fold_bits,
     _in_kernel,
     _mul2,
+    _pairwise,
     _period_map,
     _rational_period,
     _RationalRecord,
@@ -219,8 +220,8 @@ def _ln_big(x: int) -> float:
 
 
 # A ball (m, k, r) is an integer matrix m, a shift k and a radius r: it holds
-# every matrix whose entries lie within r * 2**k of those of m * 2**k.  Balls
-# keep _KEPT_BITS bits of their largest entry, enough for _ln_big's 64.
+# every matrix whose entries lie within r * 2**k of those of m * 2**k.  A ball
+# is cut to _KEPT_BITS bits, well above the 64 that _ln_big reads.
 _KEPT_BITS = 96
 # _stream_estimate folds streams exactly in blocks of _BLOCK letters.
 _BLOCK = 1024
@@ -228,32 +229,37 @@ _BLOCK = 1024
 Ball = tuple[Mat2i, int, int]
 
 
-def _ball(m: Mat2i, k: int = 0, r: int = 0) -> Ball:
-    """The ball (m, k, r), with m floored to _KEPT_BITS bits and the radius
-    widened to cover the cut."""
+def _ball(m: Mat2i, k: int = 0, r: int = 0, bits: int = 0) -> Ball:
+    """The ball (m, k, r), with m floored to _KEPT_BITS + bits bits and the
+    radius widened to cover the cut.  A radius longer than m is cut too, so
+    no number in a ball outgrows that width."""
     (a, b), (c, d) = m
-    s = max(a.bit_length(), b.bit_length(), c.bit_length(), d.bit_length()) - _KEPT_BITS
+    s = max(a.bit_length(), b.bit_length(), c.bit_length(), d.bit_length(),
+            r.bit_length()) - _KEPT_BITS - bits
     if s <= 0:
         return m, k, r
     return ((a >> s, b >> s), (c >> s, d >> s)), k + s, -(-r >> s) + 1
 
 
-def _ball_mul(x: Ball, y: Ball) -> Ball:
+def _ball_mul(x: Ball, y: Ball, bits: int = 0) -> Ball:
     """A ball holding every product of a matrix of x and a matrix of y."""
     (m, k, r), (n, j, q) = x, y
     am, an = max(map(abs, m[0] + m[1])), max(map(abs, n[0] + n[1]))
-    return _ball(_mul2(m, n), k + j, 2 * (am * q + r * an + r * q))
+    return _ball(_mul2(m, n), k + j, 2 * (am * q + r * an + r * q), bits)
 
 
 def _ball_power(m: Mat2i, e: int) -> Ball:
-    """A ball holding m**e, by squaring."""
-    out, base = (((1, 0), (0, 1)), 0, 0), _ball(m)
+    """A ball holding m**e, by squaring.  A squaring widens the ball by about
+    two bits relative to its entries, so the ball keeps _KEPT_BITS more bits
+    for every 16 bits of e."""
+    bits = _KEPT_BITS * (e.bit_length() // 16)
+    out, base = (((1, 0), (0, 1)), 0, 0), _ball(m, bits=bits)
     while e:
         if e & 1:
-            out = _ball_mul(out, base)
+            out = _ball_mul(out, base, bits)
         e >>= 1
         if e:
-            base = _ball_mul(base, base)
+            base = _ball_mul(base, base, bits)
     return out
 
 
@@ -303,11 +309,7 @@ def _stream_estimate(x: int, n: int) -> float:
     level = [_ball(_fold_bits(x >> (n - head), head))]
     level += [_ball(_fold_bits(x >> shift & mask, _BLOCK))
               for shift in range(n - head - _BLOCK, -1, -_BLOCK)]
-    while len(level) > 1:
-        pairs = iter(level)
-        odd = level[-1:] if len(level) % 2 else []
-        level = list(map(_ball_mul, pairs, pairs)) + odd
-    est = _certified(level[0], n)
+    est = _certified(_pairwise(level, _ball_mul), n)
     return _estimate(_fold_bits(x, n), n) if est is None else est
 
 

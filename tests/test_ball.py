@@ -4,6 +4,7 @@ and the full squares of the Frobenius norm."""
 import math
 import random
 import statistics
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +22,7 @@ from sgharm.holder import (
     _stream_estimate,
     estimate_at_bits,
     exponent_estimate,
+    holder_exponent,
     lyapunov_sample,
 )
 
@@ -70,15 +72,26 @@ def member(ball, signs):
     return (e[0], e[1]), (e[2], e[3])
 
 
-@given(matrix, st.integers(0, 64), radius, corner)
-def test_a_cut_ball_holds_every_member(m, k, r, signs):
-    assert encloses(_ball(m, k, r), member((m, k, r), signs))
+extra = st.integers(0, 200)
 
 
-@given(matrix, radius, matrix, radius, corner, corner)
-def test_a_ball_product_holds_every_product_of_members(m, r, n, q, s, t):
+@given(matrix, st.integers(0, 64), radius, corner, extra)
+def test_a_cut_ball_holds_every_member(m, k, r, signs, bits):
+    assert encloses(_ball(m, k, r, bits), member((m, k, r), signs))
+
+
+@given(matrix, radius, matrix, radius, corner, corner, extra)
+def test_a_ball_product_holds_every_product_of_members(m, r, n, q, s, t, bits):
     x, y = (m, 3, r), (n, 5, q)
-    assert encloses(_ball_mul(x, y), _mul2(member(x, s), member(y, t)))
+    assert encloses(_ball_mul(x, y, bits), _mul2(member(x, s), member(y, t)))
+
+
+def test_a_ball_wider_than_its_entries_stays_short(monkeypatch):
+    # cut to 4 bits, the ball soon holds zero; squaring must not then
+    # double the radius's length at every step
+    monkeypatch.setattr(sgharm.holder, "_KEPT_BITS", 4)
+    m, k, r = _ball_power(_period_map("011")[0], 1 << 20)
+    assert max(e.bit_length() for e in m[0] + m[1] + (r,)) <= 4 + 4
 
 
 def test_certified_is_the_exact_estimate_at_both_ends():
@@ -145,6 +158,18 @@ def test_long_streams_need_no_exact_squares(exact_squares):
     lyapunov_sample(65536, 4, 3)
     estimate_at_bits("10110100", "011", 10 ** 6)
     assert exact_squares == []
+
+
+def test_estimate_at_bits_needs_no_exact_power_far_out(monkeypatch):
+    # far beyond any exact power; the estimates converge to the exponent
+    def no_exact_power(m, e):
+        raise AssertionError("the exact power was taken")
+
+    monkeypatch.setattr(sgharm.holder, "_mat_power", no_exact_power)
+    alpha = holder_exponent(Fraction(3, 7)).alpha  # period 011
+    for k, tol in ((9, 1e-10), (30, 1e-14), (100, 1e-14)):
+        assert abs(estimate_at_bits("", "011", 10 ** k) - alpha) < tol, k
+        assert abs(estimate_at_bits("10110100", "011", 10 ** k) - alpha) < tol, k
 
 
 def test_failed_certificate_falls_back_to_the_exact_path(monkeypatch, exact_squares):
