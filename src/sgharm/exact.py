@@ -419,19 +419,19 @@ def _product_sign(a: int, b: int, c: int) -> int:
     return (x > c) - (x < c)
 
 
-def _exponent_sign(m: Mat2i, h: int) -> tuple[int, int]:
+def _exponent_sign(m: Mat2i, h: int, p3: int) -> tuple[int, int]:
     """Trace of a period map and the exact sign of lam - 2**-n, in integers
     only.
 
-    (m, h) is the (F, h) of _period_map for a period of n letters, so F has
-    a trace tr and the determinant det = 3**h or -3**h, and the period's
-    dominant eigenvalue lam is rho**(n // h) for
+    (m, h) is the (F, h) of _period_map for a period of n letters and p3 is
+    3**h, so F has a trace tr and the determinant det = p3 or -p3, and the
+    period's dominant eigenvalue lam is rho**(n // h) for
     rho = (|tr| + sqrt(tr*tr - 4*det)) / (2*5**h): the sign is that of
     rho - 2**-h.
     """
     (a, b), (c, d) = m
     tr, det = a + d, a * d - b * c
-    if abs(det) != 3 ** h:
+    if abs(det) != p3:
         raise AssertionError("restriction determinant is off")
     # rho is the larger root of x*x - |tr|/5**h * x + det/25**h.  2**-h is
     # below rho when it is below the roots' midpoint |tr| / (2*5**h), that
@@ -593,9 +593,9 @@ class ExpansionVariant(Enum):
 
 def _is_primitive(word: str) -> bool:
     # u**k (k > 1) is a p-th power for each prime p | k; the word is the p-th
-    # power of its prefix u exactly when u occurs p times without overlap.
+    # power of its prefix u exactly when p copies of u spell it.
     n = len(word)
-    return all(word.count(word[:n // p]) != p for p in _factorize(n))
+    return all(word[:n // p] * p != word for p in _factorize(n))
 
 
 @dataclass(frozen=True)
@@ -768,26 +768,31 @@ def expansion_value(e: Expansion) -> Fraction:
 class _RationalRecord:
     """An expansion e, the _period_map (F, h) of its period, and what a
     rational point's readers ask of them: chart() is the _chart_fixed_point
-    of F and e.preperiod, and sign() the _exponent_sign of F, each computed
-    on first call.  A value is stored only once its computation returns, so
-    an error is raised again on every call, and threads that race on a value
-    compute one immutable answer twice."""
+    of F and e.preperiod, power3() is 3**h and sign() the _exponent_sign of
+    F, each computed on first call.  A value is stored only once its
+    computation returns, so an error is raised again on every call, and
+    threads that race on a value compute one immutable answer twice."""
 
-    __slots__ = ("e", "F", "h", "_chart", "_sign")
+    __slots__ = ("e", "F", "h", "_chart", "_p3", "_sign")
 
     def __init__(self, e: Expansion):
         self.e = e
         self.F, self.h = _period_map(e.period)
-        self._chart = self._sign = None
+        self._chart = self._p3 = self._sign = None
 
     def chart(self) -> tuple[int, int, int, int]:
         if self._chart is None:
             self._chart = _chart_fixed_point(self.F, self.e.preperiod)
         return self._chart
 
+    def power3(self) -> int:
+        if self._p3 is None:
+            self._p3 = 3 ** self.h
+        return self._p3
+
     def sign(self) -> tuple[int, int]:
         if self._sign is None:
-            self._sign = _exponent_sign(self.F, self.h)
+            self._sign = _exponent_sign(self.F, self.h, self.power3())
         return self._sign
 
 

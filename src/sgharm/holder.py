@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .exact import (
     Expansion,
@@ -41,6 +41,7 @@ if TYPE_CHECKING:
 
 LN2 = math.log(2.0)
 LN5 = math.log(5.0)
+LOG2_5 = math.log2(5.0)
 
 # Exponent at every dyadic parameter; also the global lower bound.
 MIN_EXPONENT = math.log2(5.0 / 3.0)
@@ -127,10 +128,65 @@ def _ln_half(prec: int):
     return mpi_log((fhalf, fhalf), prec)
 
 
+# alpha_enclosure rounds its operands from the exact integers while 5**(2*n)
+# has at most this many bits, and from scalar balls above: building and
+# rounding the exact powers then costs more than the balls.
+_EXACT_OPERAND_BITS = 11000
+# A scalar ball rounded to prec bits keeps prec + _GUARD_BITS bits.  A power
+# to the exponent e widens it by about log2(e) of them.
+_GUARD_BITS = 64
+# The power of 5 dividing t*t - 4*3**n is read modulo 5**_RESIDUE_DIGITS,
+# which fits one 30-bit digit of a Python int.
+_RESIDUE_DIGITS = 12
+
+
+def _disc_power_of_5(t: int, n: int) -> Optional[int]:
+    """The exponent j of the power of 5 that _over_power_of_5(t*t - 4*3**n,
+    2*n) divides out, from residues modulo 5**_RESIDUE_DIGITS, or None when
+    they do not fix it."""
+    m = 5 ** _RESIDUE_DIGITS
+    x = ((t % m) ** 2 - 4 * pow(3, n, m)) % m
+    if not x:
+        return 2 * n if 2 * n <= _RESIDUE_DIGITS else None
+    j = 0
+    while x % 5 == 0:
+        x //= 5
+        j += 1
+    return min(j, 2 * n)
+
+
+def _enclosure_balls(t: int, n: int, tk: int, j: int, bits: int) -> tuple[SBall, SBall, SBall]:
+    """Scalar balls of 5**tk, (t*t - 4*3**n) / 5**j and 5**(2*n - j), each
+    kept to bits bits, with none of the three built."""
+    five = _sball_power(5, tk, bits)
+    # 5**(2*n - j) from the square of 5**tk when j <= 2*(n - tk), the usual case
+    e = 2 * (n - tk) - j
+    square = _sball_power(5, 2 * n - j, bits) if e < 0 else \
+        _sball_mul(_sball_mul(five, five, bits), (5 ** e, 0, 0), bits)
+    # t*t - 4*3**n, kept to the bits that the division by 5**j spends
+    f = 5 ** j
+    wide = bits + f.bit_length()
+    top = _sball(t, bits=wide)
+    m, k, r = _sball_power(3, n, wide)
+    m, k, r = _sball_add(_sball_mul(top, top, wide), (-m, k + 2, r), wide)
+    return five, _sball(m // f, k, -(-r // f) + 1, bits=bits), square
+
+
 def alpha_enclosure(t: int, n: int, width: float = 1e-12) -> tuple[float, float]:
     """Certified float enclosure of ln(lam)/(n ln 1/2) for the dominant
     eigenvalue lam = (t + sqrt(t*t - 4*3**n)) / (2*5**n) of an n-letter
     period with scaled trace t.
+
+    lam is built from t / 5**n and (t*t - 4*3**n) / 25**n in lowest terms,
+    tn / 5**tk and dn / 5**dk, each operand floored and ceiled at the
+    working precision.  tn and n are rounded from the exact integers.  So
+    are 5**tk, dn and 5**dk while 5**(2*n) is short (_EXACT_OPERAND_BITS).
+    Above that, their leading bits come from scalar balls, and the power of
+    5 taken out of dn from residues, so 5**tk, 5**dk, 3**n and t*t are not
+    built.  A ball is used only when its two ends round to the same floor
+    and the same ceiling (Ziv's test); otherwise the exact operand is built
+    and rounded.  Either way the operands are those of the exact integers,
+    bit for bit.
 
     Precision is doubled until the enclosure is narrower than `width` and
     separated from 1 (always possible: the exponent of a rational parameter
@@ -138,21 +194,40 @@ def alpha_enclosure(t: int, n: int, width: float = 1e-12) -> tuple[float, float]
     mpmath context is read or written.
     """
     # only the exponent commands pay for the import
-    from mpmath.libmp import (from_int, fzero, mpf_gt, mpf_shift, mpi_add, mpi_div, mpi_log,
-                              mpi_mul, mpi_sqrt, round_ceiling, round_floor, round_nearest,
-                              to_float)
+    from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_gt, mpf_shift, mpi_add,
+                              mpi_div, mpi_log, mpi_mul, mpi_sqrt, round_ceiling,
+                              round_floor, round_nearest, to_float)
 
     def interval(x: int):
         return from_int(x, prec, round_floor), from_int(x, prec, round_ceiling)
 
+    def rounded(ball: SBall, exact: Callable[[], int]):
+        m, k, r = ball
+        if m > r:
+            lo, hi = [(from_man_exp(x, k, prec, round_floor),
+                       from_man_exp(x, k, prec, round_ceiling)) for x in (m - r, m + r)]
+            if lo == hi:  # every number of the ball rounds alike
+                return lo
+        return interval(exact())
+
     # the trace t/5**n and the discriminant over 25**n in lowest terms
     tn, tk = _over_power_of_5(t, n)
-    dn, dk = _over_power_of_5(t * t - 4 * 3 ** n, 2 * n)
-    tden, dden = 5 ** tk, 5 ** dk
+    j = None if 2 * n * LOG2_5 <= _EXACT_OPERAND_BITS else _disc_power_of_5(t, n)
+    if j is None:
+        dn, dk = _over_power_of_5(t * t - 4 * 3 ** n, 2 * n)
+        exact = 5 ** tk, dn, 5 ** dk
+    else:
+        exact = (lambda: 5 ** tk, lambda: (t * t - 4 * 3 ** n) // 5 ** j,
+                 lambda: 5 ** (2 * n - j))
     prec = 64
     while True:
-        trace = mpi_div(interval(tn), interval(tden), prec)
-        root = mpi_sqrt(mpi_div(interval(dn), interval(dden), prec), prec)
+        if j is None:
+            tden, dnum, dden = map(interval, exact)
+        else:
+            balls = _enclosure_balls(t, n, tk, j, prec + _GUARD_BITS)
+            tden, dnum, dden = map(rounded, balls, exact)
+        trace = mpi_div(interval(tn), tden, prec)
+        root = mpi_sqrt(mpi_div(dnum, dden, prec), prec)
         total = mpi_add(trace, root, prec)
         lam = mpf_shift(total[0], -1), mpf_shift(total[1], -1)  # halving is exact
         if mpf_gt(lam[0], fzero):
@@ -167,19 +242,20 @@ def alpha_enclosure(t: int, n: int, width: float = 1e-12) -> tuple[float, float]
             raise ArithmeticError("exponent enclosure did not converge")
 
 
-def _scaled_trace(tr: int, h: int, n: int) -> int:
+def _scaled_trace(tr: int, h: int, n: int, p3: int) -> int:
     """Scaled trace t of an n-letter period whose period map (F, h) has the
-    trace tr: the period's dominant eigenvalue is lam = (t + sqrt(t*t -
-    4*3**n)) / (2*5**n), and t is tr, or tr*tr + 2*3**h, the trace of F**2,
-    when F covers half the period in h letters."""
-    return tr if h == n else tr * tr + 2 * 3 ** h
+    trace tr, with p3 = 3**h: the period's dominant eigenvalue is lam = (t +
+    sqrt(t*t - 4*3**n)) / (2*5**n), and t is tr, or tr*tr + 2*p3, the trace
+    of F**2, when F covers half the period in h letters."""
+    return tr if h == n else tr * tr + 2 * p3
 
 
 def _period_sign(period: str) -> tuple[int, int]:
     """Scaled trace of a period word and the exact sign of lam - 2**-n."""
     m, h = _period_map(period)
-    tr, sign = _exponent_sign(m, h)
-    return _scaled_trace(tr, h, len(period)), sign
+    p3 = 3 ** h
+    tr, sign = _exponent_sign(m, h, p3)
+    return _scaled_trace(tr, h, len(period), p3), sign
 
 
 def _derivative_class(sign: int) -> DerivativeClass:
@@ -192,7 +268,7 @@ def _report(frac: Fraction, rec: _RationalRecord) -> HolderReport:
     """The exponent report at frac, from the record of its expansion."""
     e, (tr, sign) = rec.e, rec.sign()
     n = len(e.period)
-    t = _scaled_trace(tr, rec.h, n)
+    t = _scaled_trace(tr, rec.h, n, rec.power3())
     lo, hi = alpha_enclosure(t, n)
     return HolderReport(
         s=frac, expansion=e, period=e.period, period_length=n, scaled_trace=t,
@@ -248,11 +324,11 @@ def _ball_mul(x: Ball, y: Ball, bits: int = 0) -> Ball:
     return _ball(_mul2(m, n), k + j, 2 * (am * q + r * an + r * q), bits)
 
 
-def _ball_power(m: Mat2i, e: int) -> Ball:
-    """A ball holding m**e, by squaring.  A squaring widens the ball by about
-    two bits relative to its entries, so the ball keeps _KEPT_BITS more bits
-    for every 16 bits of e."""
-    bits = _KEPT_BITS * (e.bit_length() // 16)
+def _ball_power(m: Mat2i, e: int, bits: int = 0) -> Ball:
+    """A ball holding m**e, by squaring, with bits more bits kept.  A
+    squaring widens the ball by about two bits relative to its entries, so
+    the ball keeps _KEPT_BITS more bits for every 16 bits of e."""
+    bits += _KEPT_BITS * (e.bit_length() // 16)
     out, base = (((1, 0), (0, 1)), 0, 0), _ball(m, bits=bits)
     while e:
         if e & 1:
@@ -261,6 +337,51 @@ def _ball_power(m: Mat2i, e: int) -> Ball:
         if e:
             base = _ball_mul(base, base, bits)
     return out
+
+
+# A scalar ball (x, k, r) holds every number within r * 2**k of x * 2**k.
+# Unlike a matrix ball, it is cut to the bits its caller asks for.
+SBall = tuple[int, int, int]
+
+
+def _sball(x: int, k: int = 0, r: int = 0, *, bits: int) -> SBall:
+    """The scalar ball (x, k, r), with x floored to bits bits and the radius
+    widened to cover the cut."""
+    s = max(x.bit_length(), r.bit_length()) - bits
+    if s <= 0:
+        return x, k, r
+    return x >> s, k + s, -(-r >> s) + 1
+
+
+def _sball_mul(x: SBall, y: SBall, bits: int) -> SBall:
+    """A ball holding every product of a number of x and a number of y."""
+    (a, k, r), (b, j, q) = x, y
+    return _sball(a * b, k + j, abs(a) * q + r * abs(b) + r * q, bits=bits)
+
+
+def _sball_add(x: SBall, y: SBall, bits: int) -> SBall:
+    """A ball holding every sum of a number of x and a number of y: the ball
+    with the smaller shift is first cut to the other's."""
+    if x[1] < y[1]:
+        x, y = y, x
+    (a, k, r), (b, j, q) = x, y
+    if k > j:
+        b, q = b >> (k - j), -(-q >> (k - j)) + 1
+    return _sball(a + b, k, r + q, bits=bits)
+
+
+def _sball_power(x: int, e: int, bits: int) -> SBall:
+    """A ball holding x**e for a positive int x, cut to bits bits, by
+    squaring from the leading bit of e, so that every multiplication is by
+    the exact x."""
+    if not e:
+        return 1, 0, 0
+    m, k, r = _sball(x, bits=bits)
+    for bit in bin(e)[3:]:
+        m, k, r = _sball(m * m, 2 * k, (2 * m + r) * r, bits=bits)
+        if bit == "1":
+            m, k, r = _sball(m * x, k, r * x, bits=bits)
+    return m, k, r
 
 
 def _certified(ball: Ball, n: int) -> Optional[float]:
@@ -346,13 +467,19 @@ def _mat_power(m, k: int):
     return out
 
 
+# estimate_at_bits takes the exact power of a period map for at most this
+# many letters (about 2 s at 10**6).
+ESTIMATE_EXACT_CAP = 10 ** 6
+
+
 def estimate_at_bits(preperiod: str, period: str, nbits: int) -> float:
     """Single estimate at exactly nbits letters of preperiod + period-cycle.
 
     Equivalent to exponent_estimate on the expanded word but computed by
     powering the period map (exact._period_map) as a ball, so large nbits
-    stay cheap; the exact power is taken only when the ball does not fix
-    the estimate.
+    stay cheap.  When the ball does not fix the estimate, balls 2 and 4
+    times as wide are tried, and then the exact power, for at most
+    ESTIMATE_EXACT_CAP letters; above that, ValueError is raised.
     """
     if nbits < 1:
         raise ValueError("nbits must be >= 1")
@@ -366,10 +493,15 @@ def estimate_at_bits(preperiod: str, period: str, nbits: int) -> float:
     f, h = _period_map(period)
     q, r = divmod(rest, len(period))
     e, tail = q * (len(period) // h), _fold2(period[:r])
-    est = _certified(_ball_mul(_ball_mul(_ball(m), _ball_power(f, e)), _ball(tail)), nbits)
-    if est is None:
-        est = _estimate(_mul2(_mul2(m, _mat_power(f, e)), tail), nbits)
-    return est
+    for wide in (0, _KEPT_BITS, 3 * _KEPT_BITS):
+        ball = _ball_mul(_ball(m, bits=wide), _ball_power(f, e, wide), wide)
+        est = _certified(_ball_mul(ball, _ball(tail, bits=wide), wide), nbits)
+        if est is not None:
+            return est
+    if nbits > ESTIMATE_EXACT_CAP:
+        raise ValueError(f"no ball fixes the estimate at {nbits} letters, and the exact "
+                         f"power is taken only up to {ESTIMATE_EXACT_CAP}")
+    return _estimate(_mul2(_mul2(m, _mat_power(f, e)), tail), nbits)
 
 
 def classify_curve(s: RationalLike) -> DerivativeClass:

@@ -41,6 +41,7 @@ from sgharm.exact import (
     restrict_to_plane,
     transition_density,
     word_product,
+    _is_primitive,
     _mult_order_2,
     _prefix_bits,
 )
@@ -410,6 +411,16 @@ def test_expand_round_trip_large():
             e = expand(s, variant)
             assert e.value() == s
             assert expand(e.value(), variant) == e
+
+
+def test_is_primitive_is_not_a_proper_power():
+    """Every word of up to 14 letters: primitive exactly when it is no u**k
+    with k > 1."""
+    for n in range(1, 15):
+        for i in range(1 << n):
+            word = format(i, f"0{n}b")
+            power = any(word == word[:d] * (n // d) for d in range(1, n) if n % d == 0)
+            assert _is_primitive(word) != power, word
 
 
 def _outcome(fn, *args):

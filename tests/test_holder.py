@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from sgharm.exact import (
     _product_sign,
 )
 from sgharm.harmonic import FORM_PRESETS
+import sgharm.holder
 from sgharm.holder import (
     DerivativeClass,
     HolderReport,
@@ -588,3 +590,30 @@ def test_matrix_vector_separation_bounds():
         fro = _math.sqrt(sum((v / den) ** 2 for row in m2.entries for v in row))
         ratio = word_product(w).apply(u).norm2() / (fro * u.norm2())
         assert SEPARATION_LO <= ratio <= SEPARATION_HI
+
+
+def test_estimate_at_bits_widens_the_ball_and_caps_the_exact_power(monkeypatch):
+    want = [estimate_at_bits(pre, "011", 10 ** 9) for pre in ("", "10110100")]
+    certified, fixed = sgharm.holder._certified, []
+
+    def recorded(ball, n):
+        est = certified(ball, n)
+        fixed.append(est is not None)
+        return est
+
+    # balls of 24 and 48 bits fix no estimate, but one four times as wide does
+    monkeypatch.setattr(sgharm.holder, "_certified", recorded)
+    monkeypatch.setattr(sgharm.holder, "_KEPT_BITS", 24)
+    assert [estimate_at_bits(pre, "011", 10 ** 9) for pre in ("", "10110100")] == want
+    assert fixed == [False, False, True] * 2
+    # no ball fixes it: above the cap the exact power is refused at once
+    for kept, refuse in ((4, recorded), (96, lambda ball, n: None)):
+        monkeypatch.setattr(sgharm.holder, "_KEPT_BITS", kept)
+        monkeypatch.setattr(sgharm.holder, "_certified", refuse)
+        for nbits in (10 ** 9, sgharm.holder.ESTIMATE_EXACT_CAP + 1):
+            fixed.clear()
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="exact power is taken only up to"):
+                estimate_at_bits("10110100", "000110111", nbits)
+            assert time.perf_counter() - start < 1.0
+            assert not any(fixed)
