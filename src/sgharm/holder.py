@@ -215,14 +215,14 @@ def alpha_enclosure(t: int, n: int, width: float = 1e-12) -> tuple[float, float]
     j = None if 2 * n * LOG2_5 <= _EXACT_OPERAND_BITS else _disc_power_of_5(t, n)
     if j is None:
         dn, dk = _over_power_of_5(t * t - 4 * 3 ** n, 2 * n)
-        exact = 5 ** tk, dn, 5 ** dk
-    else:
+        operands = 5 ** tk, dn, 5 ** dk
+    else:  # built only for a ball that fails Ziv's test
         exact = (lambda: 5 ** tk, lambda: (t * t - 4 * 3 ** n) // 5 ** j,
                  lambda: 5 ** (2 * n - j))
     prec = 64
     while True:
         if j is None:
-            tden, dnum, dden = map(interval, exact)
+            tden, dnum, dden = map(interval, operands)
         else:
             balls = _enclosure_balls(t, n, tk, j, prec + _GUARD_BITS)
             tden, dnum, dden = map(rounded, balls, exact)
