@@ -158,18 +158,14 @@ def _disc_power_of_5(t: int, n: int) -> Optional[int]:
 def _enclosure_balls(t: int, n: int, tk: int, j: int, bits: int) -> tuple[SBall, SBall, SBall]:
     """Scalar balls of 5**tk, (t*t - 4*3**n) / 5**j and 5**(2*n - j), each
     kept to bits bits, with none of the three built."""
-    five = _sball_power(5, tk, bits)
-    # 5**(2*n - j) from the square of 5**tk when j <= 2*(n - tk), the usual case
-    e = 2 * (n - tk) - j
-    square = _sball_power(5, 2 * n - j, bits) if e < 0 else \
-        _sball_mul(_sball_mul(five, five, bits), (5 ** e, 0, 0), bits)
     # t*t - 4*3**n, kept to the bits that the division by 5**j spends
     f = 5 ** j
     wide = bits + f.bit_length()
     top = _sball(t, bits=wide)
     m, k, r = _sball_power(3, n, wide)
     m, k, r = _sball_add(_sball_mul(top, top, wide), (-m, k + 2, r), wide)
-    return five, _sball(m // f, k, -(-r // f) + 1, bits=bits), square
+    disc = _sball(m // f, k, -(-r // f) + 1, bits=bits)
+    return _sball_power(5, tk, bits), disc, _sball_power(5, 2 * n - j, bits)
 
 
 def alpha_enclosure(t: int, n: int, width: float = 1e-12) -> tuple[float, float]:

@@ -149,7 +149,7 @@ def test_high_powers_of_5_in_the_discriminant(m, exact_roundings):
 
 @pytest.mark.parametrize("i", [1, 3, 30])
 def test_powers_of_5_in_the_trace(i):
-    """Traces with 5**i | t: 5**tk is then short of the square root of 5**dk."""
+    """Traces with 5**i | t, whose trace denominator 5**tk is below 5**n."""
     rng = random.Random(100 + i)
     for n in (3000, 8001):
         t = _period_sign(random_word(rng, n))[0]
