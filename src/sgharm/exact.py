@@ -849,12 +849,7 @@ def necklace_classes(length: int, dedupe_complement: bool = False) -> list[str]:
     words = list(lyndon_words(length))
     if not dedupe_complement:
         return words
-    keep = []
-    for w in words:
-        cc = min_rotation(complement_word(w))
-        if cc == w or int(w, 2) < int(cc, 2):
-            keep.append(w)
-    return keep
+    return [w for w in words if w <= min_rotation(complement_word(w))]
 
 
 def transition_density(word: str) -> Fraction:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .exact import (
     Expansion,
@@ -129,43 +129,50 @@ def _ln_half(prec: int):
 
 
 # alpha_enclosure rounds its operands from the exact integers while 5**(2*n)
-# has at most this many bits, and from scalar balls above: building and
-# rounding the exact powers then costs more than the balls.
+# has at most this many bits, and from intervals above: building and rounding
+# the exact powers then costs more than the intervals.
 _EXACT_OPERAND_BITS = 11000
-# A scalar ball rounded to prec bits keeps prec + _GUARD_BITS bits.  A power
-# to the exponent e widens it by about log2(e) of them.
+# An operand rounded to prec bits is enclosed at prec + _GUARD_BITS bits.
 _GUARD_BITS = 64
-# The power of 5 dividing t*t - 4*3**n is read modulo 5**_RESIDUE_DIGITS,
+# The power of 5 dividing t*t - 4*3**n is first read modulo 5**_RESIDUE_DIGITS,
 # which fits one 30-bit digit of a Python int.
 _RESIDUE_DIGITS = 12
 
 
-def _disc_power_of_5(t: int, n: int) -> Optional[int]:
+def _disc_power_of_5(t: int, n: int) -> int:
     """The exponent j of the power of 5 that _over_power_of_5(t*t - 4*3**n,
-    2*n) divides out, from residues modulo 5**_RESIDUE_DIGITS, or None when
-    they do not fix it."""
-    m = 5 ** _RESIDUE_DIGITS
-    x = ((t % m) ** 2 - 4 * pow(3, n, m)) % m
-    if not x:
-        return 2 * n if 2 * n <= _RESIDUE_DIGITS else None
-    j = 0
-    while x % 5 == 0:
-        x //= 5
-        j += 1
-    return min(j, 2 * n)
+    2*n) divides out, from residues modulo 5**digits, with the digits doubled
+    from _RESIDUE_DIGITS until the residue is nonzero or they reach 2*n."""
+    digits = _RESIDUE_DIGITS
+    while True:
+        m = 5 ** digits
+        x = ((t % m) ** 2 - 4 * pow(3, n, m)) % m
+        if x or digits >= 2 * n:  # a zero residue has every power of 5 up to 2*n
+            return 2 * n - _over_power_of_5(x, 2 * n)[1]
+        digits *= 2
 
 
-def _enclosure_balls(t: int, n: int, tk: int, j: int, bits: int) -> tuple[SBall, SBall, SBall]:
-    """Scalar balls of 5**tk, (t*t - 4*3**n) / 5**j and 5**(2*n - j), each
-    kept to bits bits, with none of the three built."""
-    # t*t - 4*3**n, kept to the bits that the division by 5**j spends
-    f = 5 ** j
-    wide = bits + f.bit_length()
-    top = _sball(t, bits=wide)
-    m, k, r = _sball_power(3, n, wide)
-    m, k, r = _sball_add(_sball_mul(top, top, wide), (-m, k + 2, r), wide)
-    disc = _sball(m // f, k, -(-r // f) + 1, bits=bits)
-    return _sball_power(5, tk, bits), disc, _sball_power(5, 2 * n - j, bits)
+def _enclosure_intervals(t: int, n: int, tk: int, j: int, bits: int):
+    """mpmath intervals of 5**tk, (t*t - 4*3**n) / 5**j and 5**(2*n - j) at
+    bits bits, with none of the three built.  Each operation rounds its lower
+    end down and its upper end up, and mpf_pow_int truncates every product
+    of its squarings in the requested direction, so each interval holds its
+    exact integer."""
+    from mpmath.libmp import (from_int, from_man_exp, mpf_shift, mpi_div, mpi_mul, mpi_pow_int,
+                              mpi_sub, round_ceiling, round_floor)
+
+    three, five, f = (from_man_exp(3, 0),) * 2, (from_man_exp(5, 0),) * 2, from_int(5 ** j)
+    top = from_int(t, bits, round_floor), from_int(t, bits, round_ceiling)
+    # 4*3**n / (t*t) is at most 4*mu/lam for the period's two eigenvalues, so
+    # the difference cancels no leading bits, and the division by the exact
+    # 5**j keeps its relative width
+    lo, hi = mpi_pow_int(three, n, bits)
+    disc = mpi_sub(mpi_mul(top, top, bits), (mpf_shift(lo, 2), mpf_shift(hi, 2)), bits)
+    # 5**(2*n - j) is (5**tk)**2 times a short power of 5: as 5 does not
+    # divide 4*3**n, it divides t (tk < n) or the discriminant (j > 0), not both
+    p5 = mpi_pow_int(five, tk, bits)
+    return p5, mpi_div(disc, (f, f), bits), mpi_mul(
+        mpi_pow_int(p5, 2, bits), mpi_pow_int(five, 2 * (n - tk) - j, bits), bits)
 
 
 def alpha_enclosure(t: int, n: int, width: float = 1e-12) -> tuple[float, float]:
@@ -177,12 +184,13 @@ def alpha_enclosure(t: int, n: int, width: float = 1e-12) -> tuple[float, float]
     tn / 5**tk and dn / 5**dk, each operand floored and ceiled at the
     working precision.  tn and n are rounded from the exact integers.  So
     are 5**tk, dn and 5**dk while 5**(2*n) is short (_EXACT_OPERAND_BITS).
-    Above that, their leading bits come from scalar balls, and the power of
-    5 taken out of dn from residues, so 5**tk, 5**dk, 3**n and t*t are not
-    built.  A ball is used only when its two ends round to the same floor
-    and the same ceiling (Ziv's test); otherwise the exact operand is built
-    and rounded.  Either way the operands are those of the exact integers,
-    bit for bit.
+    Above that, they are enclosed by mpmath's directed rounding at the
+    precision plus _GUARD_BITS bits (_enclosure_intervals), and the power of
+    5 taken out of dn is read from residues, so 5**tk, 5**dk, 3**n and t*t
+    are not built.  An interval is used only when its two ends round to the
+    same floor and the same ceiling (Ziv's test); otherwise the exact
+    operand is built and rounded.  Either way the operands are those of the
+    exact integers, bit for bit.
 
     Precision is doubled until the enclosure is narrower than `width` and
     separated from 1 (always possible: the exponent of a rational parameter
@@ -190,20 +198,17 @@ def alpha_enclosure(t: int, n: int, width: float = 1e-12) -> tuple[float, float]
     mpmath context is read or written.
     """
     # only the exponent commands pay for the import
-    from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_gt, mpf_shift, mpi_add,
-                              mpi_div, mpi_log, mpi_mul, mpi_sqrt, round_ceiling,
-                              round_floor, round_nearest, to_float)
+    from mpmath.libmp import (from_int, fzero, mpf_gt, mpf_pos, mpf_shift, mpi_add, mpi_div,
+                              mpi_log, mpi_mul, mpi_sqrt, round_ceiling, round_floor,
+                              round_nearest, to_float)
 
     def interval(x: int):
         return from_int(x, prec, round_floor), from_int(x, prec, round_ceiling)
 
-    def rounded(ball: SBall, exact: Callable[[], int]):
-        m, k, r = ball
-        if m > r:
-            lo, hi = [(from_man_exp(x, k, prec, round_floor),
-                       from_man_exp(x, k, prec, round_ceiling)) for x in (m - r, m + r)]
-            if lo == hi:  # every number of the ball rounds alike
-                return lo
+    def rounded(iv, exact: Callable[[], int]):
+        lo, hi = [(mpf_pos(x, prec, round_floor), mpf_pos(x, prec, round_ceiling)) for x in iv]
+        if mpf_gt(iv[0], fzero) and lo == hi:  # every number of the interval rounds alike
+            return lo
         return interval(exact())
 
     # the trace t/5**n and the discriminant over 25**n in lowest terms
@@ -212,7 +217,7 @@ def alpha_enclosure(t: int, n: int, width: float = 1e-12) -> tuple[float, float]
     if j is None:
         dn, dk = _over_power_of_5(t * t - 4 * 3 ** n, 2 * n)
         operands = 5 ** tk, dn, 5 ** dk
-    else:  # built only for a ball that fails Ziv's test
+    else:  # built only for an interval that fails Ziv's test
         exact = (lambda: 5 ** tk, lambda: (t * t - 4 * 3 ** n) // 5 ** j,
                  lambda: 5 ** (2 * n - j))
     prec = 64
@@ -220,8 +225,8 @@ def alpha_enclosure(t: int, n: int, width: float = 1e-12) -> tuple[float, float]
         if j is None:
             tden, dnum, dden = map(interval, operands)
         else:
-            balls = _enclosure_balls(t, n, tk, j, prec + _GUARD_BITS)
-            tden, dnum, dden = map(rounded, balls, exact)
+            intervals = _enclosure_intervals(t, n, tk, j, prec + _GUARD_BITS)
+            tden, dnum, dden = map(rounded, intervals, exact)
         trace = mpi_div(interval(tn), tden, prec)
         root = mpi_sqrt(mpi_div(dnum, dden, prec), prec)
         total = mpi_add(trace, root, prec)
@@ -333,51 +338,6 @@ def _ball_power(m: Mat2i, e: int, bits: int = 0) -> Ball:
         if e:
             base = _ball_mul(base, base, bits)
     return out
-
-
-# A scalar ball (x, k, r) holds every number within r * 2**k of x * 2**k.
-# Unlike a matrix ball, it is cut to the bits its caller asks for.
-SBall = tuple[int, int, int]
-
-
-def _sball(x: int, k: int = 0, r: int = 0, *, bits: int) -> SBall:
-    """The scalar ball (x, k, r), with x floored to bits bits and the radius
-    widened to cover the cut."""
-    s = max(x.bit_length(), r.bit_length()) - bits
-    if s <= 0:
-        return x, k, r
-    return x >> s, k + s, -(-r >> s) + 1
-
-
-def _sball_mul(x: SBall, y: SBall, bits: int) -> SBall:
-    """A ball holding every product of a number of x and a number of y."""
-    (a, k, r), (b, j, q) = x, y
-    return _sball(a * b, k + j, abs(a) * q + r * abs(b) + r * q, bits=bits)
-
-
-def _sball_add(x: SBall, y: SBall, bits: int) -> SBall:
-    """A ball holding every sum of a number of x and a number of y: the ball
-    with the smaller shift is first cut to the other's."""
-    if x[1] < y[1]:
-        x, y = y, x
-    (a, k, r), (b, j, q) = x, y
-    if k > j:
-        b, q = b >> (k - j), -(-q >> (k - j)) + 1
-    return _sball(a + b, k, r + q, bits=bits)
-
-
-def _sball_power(x: int, e: int, bits: int) -> SBall:
-    """A ball holding x**e for a positive int x, cut to bits bits, by
-    squaring from the leading bit of e, so that every multiplication is by
-    the exact x."""
-    if not e:
-        return 1, 0, 0
-    m, k, r = _sball(x, bits=bits)
-    for bit in bin(e)[3:]:
-        m, k, r = _sball(m * m, 2 * k, (2 * m + r) * r, bits=bits)
-        if bit == "1":
-            m, k, r = _sball(m * x, k, r * x, bits=bits)
-    return m, k, r
 
 
 def _certified(ball: Ball, n: int) -> Optional[float]:
@@ -556,20 +516,27 @@ def exponent_excludes_one(period: str) -> bool:
     return _period_sign(period)[1] != 0
 
 
+def _short_periods(max_len: int, dedupe_complement: bool = True) -> Iterator[str]:
+    """The word of every necklace class of up to max_len letters, by length.
+    max_len is checked at the call: below 1 is ValueError, above
+    TABLE_LENGTH_CAP is TableCapExceeded."""
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    if max_len > TABLE_LENGTH_CAP:
+        raise TableCapExceeded(f"max_len {max_len} exceeds cap {TABLE_LENGTH_CAP}")
+    return (word for length in range(1, max_len + 1)
+            for word in necklace_classes(length, dedupe_complement))
+
+
 def generate_table(max_len: int, dedupe_complement: bool = True) -> list[HolderReport]:
     """Exponent reports for every necklace class of period length <= max_len.
 
     Sorted by exponent descending, ties broken by parameter ascending.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    if max_len > TABLE_LENGTH_CAP:
-        raise TableCapExceeded(f"max_len {max_len} exceeds cap {TABLE_LENGTH_CAP}")
     reports = []
-    for length in range(1, max_len + 1):
-        for word in necklace_classes(length, dedupe_complement):
-            e = Expansion("", word)
-            reports.append(_report(e.value(), _RationalRecord(e)))
+    for word in _short_periods(max_len, dedupe_complement):
+        e = Expansion("", word)
+        reports.append(_report(e.value(), _RationalRecord(e)))
     reports.sort(key=lambda r: (-r.alpha, r.s))
     return reports
 
@@ -588,18 +555,13 @@ def maxrun_experiment(max_len: int) -> list[tuple[str, float, bool]]:
     vanishing derivative; nothing here is a proof.  Lengths above
     TABLE_LENGTH_CAP raise TableCapExceeded.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    if max_len > TABLE_LENGTH_CAP:
-        raise TableCapExceeded(f"max_len {max_len} exceeds cap {TABLE_LENGTH_CAP}")
     rows = []
-    for length in range(1, max_len + 1):
-        for word in necklace_classes(length, dedupe_complement=True):
-            if max_cyclic_run(word) > 2:
-                continue
-            t, sign = _period_sign(word)
-            lo, hi = alpha_enclosure(t, length)
-            rows.append((word, 0.5 * (lo + hi), _derivative_class(sign) is DerivativeClass.ZERO))
+    for word in _short_periods(max_len):
+        if max_cyclic_run(word) > 2:
+            continue
+        t, sign = _period_sign(word)
+        lo, hi = alpha_enclosure(t, len(word))
+        rows.append((word, 0.5 * (lo + hi), _derivative_class(sign) is DerivativeClass.ZERO))
     return rows
 
 

@@ -1,5 +1,5 @@
-"""The exponent enclosure from scalar balls against the same enclosure on
-exact operands, and the scalar balls and residues it reads."""
+"""The exponent enclosure from intervals against the same enclosure on exact
+operands, and the intervals and residues it reads."""
 
 import math
 import random
@@ -12,13 +12,10 @@ from sgharm.exact import complement_word
 from sgharm.holder import (
     LOG2_5,
     _disc_power_of_5,
+    _enclosure_intervals,
     _ln_half,
     _over_power_of_5,
     _period_sign,
-    _sball,
-    _sball_add,
-    _sball_mul,
-    _sball_power,
     alpha_enclosure,
 )
 
@@ -52,23 +49,36 @@ def exact_enclosure(t, n, width=1e-12):
             raise ArithmeticError("exponent enclosure did not converge")
 
 
-def on_balls(n):
+def on_intervals(n):
     return 2 * n * LOG2_5 > sgharm.holder._EXACT_OPERAND_BITS
+
+
+def operands(t, n):
+    """tn, 5**tk, dn, 5**dk and 5**j for the enclosure of (t, n)."""
+    tn, tk = _over_power_of_5(t, n)
+    dn, dk = _over_power_of_5(t * t - 4 * 3 ** n, 2 * n)
+    return tn, 5 ** tk, dn, 5 ** dk, 5 ** (2 * n - dk)
+
+
+def interval_roundings(t, n):
+    """The integers rounded on the interval path: tn, n, t and 5**j."""
+    tn, _, _, _, f = operands(t, n)
+    return {tn, n, t, f}
 
 
 @pytest.fixture
 def exact_roundings(monkeypatch):
-    """The sizes of the integers that the enclosure rounds exactly."""
+    """The integers that the enclosure rounds with from_int."""
     import mpmath.libmp
 
-    sizes, from_int = [], mpmath.libmp.from_int
+    ints, from_int = [], mpmath.libmp.from_int
 
-    def counted(x, prec, rnd):
-        sizes.append(x.bit_length())
-        return from_int(x, prec, rnd)
+    def recorded(x, *args):
+        ints.append(x)
+        return from_int(x, *args)
 
-    monkeypatch.setattr(mpmath.libmp, "from_int", counted)
-    return sizes
+    monkeypatch.setattr(mpmath.libmp, "from_int", recorded)
+    return ints
 
 
 def random_word(rng, n):
@@ -101,16 +111,16 @@ def traces(seed):
 
 def test_ball_enclosure_is_the_exact_enclosure(exact_roundings):
     cases = traces(20261021)
-    assert sum(on_balls(n) for t, n in cases) >= len(cases) - 2
-    assert any(t % 5 == 0 and on_balls(n) for t, n in cases)
-    assert any((t * t - 4 * 3 ** n) % 25 == 0 and on_balls(n) for t, n in cases)
+    assert sum(on_intervals(n) for t, n in cases) >= len(cases) - 2
+    assert any(t % 5 == 0 and on_intervals(n) for t, n in cases)
+    assert any((t * t - 4 * 3 ** n) % 25 == 0 and on_intervals(n) for t, n in cases)
     for t, n in cases:
         want = exact_enclosure(t, n)
         exact_roundings.clear()
         assert alpha_enclosure(t, n) == want, n
-        # on balls, only tn and n are rounded exactly, each to a floor and a ceiling
-        if on_balls(n):
-            assert len(exact_roundings) == 4, n
+        # on intervals, no operand is built: only tn, n, t and 5**j are rounded
+        if on_intervals(n):
+            assert set(exact_roundings) == interval_roundings(t, n), n
     for t, n in cases[1:4]:
         for width in (5e-16, 1e-17):
             try:
@@ -133,18 +143,18 @@ def near(t, n, m):
 @pytest.mark.parametrize("m", [1, 2, 5, 11, 12, 13, 40])
 def test_high_powers_of_5_in_the_discriminant(m, exact_roundings):
     """Traces with 5**m | t*t - 4*3**n: at m >= _RESIDUE_DIGITS the residues
-    do not fix the power, and the discriminant is built exactly."""
+    are read to more digits, and the discriminant is still not built."""
     rng = random.Random(m)
     for n in (3000, 8000):
         t = near(_period_sign(random_word(rng, n))[0], n, m)
         dn, dk = _over_power_of_5(t * t - 4 * 3 ** n, 2 * n)
         j = 2 * n - dk
         assert j >= m
-        assert _disc_power_of_5(t, n) == (None if j >= 12 else j)
+        assert _disc_power_of_5(t, n) == j
         want = exact_enclosure(t, n)
         exact_roundings.clear()
         assert alpha_enclosure(t, n) == want, (m, n)
-        assert (dn.bit_length() in exact_roundings) == (j >= 12)
+        assert set(exact_roundings) == interval_roundings(t, n), (m, n)
 
 
 @pytest.mark.parametrize("i", [1, 3, 30])
@@ -159,15 +169,19 @@ def test_powers_of_5_in_the_trace(i):
 
 
 def test_a_ball_that_fails_ziv_falls_back_to_the_exact_operand(monkeypatch, exact_roundings):
-    """With no guard bits, no ball fixes its floor and ceiling: every operand
-    is built and rounded exactly, and the enclosure stays the same."""
+    """With no guard bits, no interval fixes its floor and ceiling: every
+    operand is built and rounded exactly, and the enclosure stays the same."""
     cases = traces(7)[:8]
     want = [exact_enclosure(t, n) for t, n in cases]
     monkeypatch.setattr(sgharm.holder, "_GUARD_BITS", 0)
     for (t, n), w in zip(cases, want):
         exact_roundings.clear()
         assert alpha_enclosure(t, n) == w, n
-        assert len(exact_roundings) == 10, n  # tn, n and the three operands
+        # tn, n and the three operands, and on intervals also t and 5**j
+        tn, tden, dn, dden, _ = operands(t, n)
+        built = {tn, n, tden, dn, dden}
+        assert set(exact_roundings) == (built | interval_roundings(t, n) if on_intervals(n)
+                                        else built), n
 
 
 def test_the_residues_give_the_power_of_5():
@@ -181,36 +195,28 @@ def test_the_residues_give_the_power_of_5():
             continue
         j = _disc_power_of_5(t, n)
         dn, dk = _over_power_of_5(t * t - 4 * 3 ** n, 2 * n)
-        assert j is None or j == 2 * n - dk, (t, n)
-        assert (j is None) == ((t * t - 4 * 3 ** n) % 5 ** 12 == 0 and 2 * n > 12), (t, n)
+        assert j == 2 * n - dk, (t, n)
 
 
-def holds(ball, x):
-    m, k, r = ball
-    return abs(x - (m << k)) <= r << k
+def holds(interval, x):
+    from mpmath.libmp import from_int, mpf_le
+
+    lo, hi = interval
+    return mpf_le(lo, from_int(x)) and mpf_le(from_int(x), hi)
 
 
-number = st.integers(0, 3000).flatmap(lambda bits: st.integers(-(1 << bits), 1 << bits))
-width = st.integers(1, 300)
-
-
-@given(number, st.integers(0, 64), st.integers(0, 1 << 80), st.integers(-1, 1), width)
-def test_a_cut_scalar_ball_holds_every_member(x, k, r, side, bits):
-    assert holds(_sball(x, k, r, bits=bits), (x + side * r) << k)
-
-
-@given(number, st.integers(0, 1 << 40), number, st.integers(0, 1 << 40),
-       st.integers(-1, 1), st.integers(-1, 1), st.integers(0, 200), width)
-def test_scalar_ball_products_and_sums_hold_their_members(a, r, b, q, s, u, shift, bits):
-    x, y = (a, 3, r), (b, 3 + shift, q)
-    ex, ey = (a + s * r) << 3, (b + u * q) << (3 + shift)
-    assert holds(_sball_mul(x, y, bits), ex * ey)
-    assert holds(_sball_add(x, y, bits), ex + ey)
-    assert holds(_sball_add(y, x, bits), ex + ey)
-
-
-@given(st.integers(1, 50), st.integers(0, 3000), st.integers(2, 300))
-def test_scalar_ball_power_holds_the_power(x, e, bits):
-    m, k, r = _sball_power(x, e, bits)
-    assert holds((m, k, r), x ** e)
-    assert max(m.bit_length(), r.bit_length()) <= bits + 1
+@given(st.integers(1, 3000), st.integers(0, 6000).flatmap(lambda b: st.integers(0, 1 << b)),
+       st.integers(0, 30), st.booleans(), st.integers(2, 300))
+def test_the_intervals_hold_their_operands(n, extra, m, on_trace, bits):
+    """5**m divides t, or, at even n, t*t - 4*3**n; t runs from just above
+    2*sqrt(3**n), where the discriminant cancels, to well past it."""
+    if on_trace or n % 2:
+        t = 5 ** m * (math.isqrt(4 * 3 ** n) // 5 ** m + 1 + extra)
+    else:
+        t = 2 * 3 ** (n // 2) + 5 ** m * (1 + extra)
+    _, tden, dn, dden, f = operands(t, n)
+    j = _disc_power_of_5(t, n)
+    assert 5 ** j == f
+    intervals = _enclosure_intervals(t, n, _over_power_of_5(t, n)[1], j, bits)
+    for interval, x in zip(intervals, (tden, dn, dden)):
+        assert holds(interval, x)
