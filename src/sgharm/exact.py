@@ -11,6 +11,7 @@ exact: no floats except in explicitly named conversion helpers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -190,6 +191,7 @@ def plane_trace(m: ScaledIntMat3) -> Fraction:
 
 
 Mat2i = tuple[tuple[int, int], tuple[int, int]]
+_IDENTITY = ((1, 0), (0, 1))
 
 
 def _mul2(a: Mat2i, b: Mat2i) -> Mat2i:
@@ -270,7 +272,7 @@ def _leaf_tables() -> list[list[Mat2i]]:
     (entries over 5 per letter): entry [k][v] is the product of the k-letter
     0/1 word spelled by the bits of v, for k = 0 to 8."""
     letters = [restrict_to_plane(_GEN3[c]).entries for c in "01"]
-    tables = [[((1, 0), (0, 1))]]
+    tables = [[_IDENTITY]]
     for _ in range(8):
         tables.append([_mul2(m, g) for m in tables[-1] for g in letters])
     return tables
@@ -348,7 +350,7 @@ def _chart_fold(word: str) -> Mat2i:
     """Integer chart-basis product of a 0/1 word (entries over 10 per letter),
     conjugated from the edge fold, whose entries are about half as long."""
     if not word:
-        return ((1, 0), (0, 1))
+        return _IDENTITY
     (a, b), (c, d) = _to_chart(_fold2(word))
     k = len(word) - 1
     return ((a << k, b << k), (c << k, d << k))
@@ -407,6 +409,17 @@ def quad_sign(p: Fraction, q: Fraction, d: Fraction) -> int:
     return sgn(c) if sp > 0 else -sgn(c)
 
 
+# a nonsquare is a square modulo all four moduli about once in 120 times
+_SQUARE_RESIDUES = tuple((m, frozenset(i * i % m for i in range(m))) for m in (64, 63, 65, 11))
+
+
+def _is_square(n: int) -> bool:
+    """Whether n >= 0 is a perfect square: residues modulo 64*63*65*11 rule
+    out most nonsquares in linear time, before the isqrt."""
+    r = n % 2882880
+    return all(r % m in squares for m, squares in _SQUARE_RESIDUES) and math.isqrt(n) ** 2 == n
+
+
 def _product_sign(a: int, b: int, c: int) -> int:
     """Sign of a*b - c for positive integers, without the product when the
     bit lengths decide it."""
@@ -449,38 +462,113 @@ def _exponent_sign(m: Mat2i, h: int, p3: int) -> tuple[int, int]:
 
 def _chart_fixed_point(m: Mat2i, preperiod: str) -> tuple[int, int, int, int]:
     """The exact direction chart at a rational parameter as integers (u, w, R,
-    D), for the chart (u + w*sqrt(D)) / R with R != 0.
+    D), for the chart (u + w*sqrt(D)) / R with R != 0 dividing u*u - w*w*D.
 
     m is the period map F of _period_map: a power of F is the period's edge
-    product, so F's projective map has the period's fixed points.  The chart
-    is the fixed point inside the chart interval, pushed through the
-    preperiod's projective map.  Both maps are read in the chart basis from
-    the edge products through _to_chart, up to a positive scale.
+    product, so F's projective map C has the period's fixed points.  The
+    chart is P(x) for the fixed point x of C inside the chart interval and
+    the preperiod's projective map P.  Both maps are read in the chart basis
+    from the edge products through _to_chart, up to a positive scale.  P(x)
+    is the fixed point of P @ C @ adj(P), whose entries have the period's
+    size, inside P([-1/3, 1/3]); its radicand is det(P)**2 * D for C's D.
+    When D is a perfect square, x is rational and the (t, d) of
+    QuadraticValue.from_pair depend on how x is written, so then P(x) is
+    rationalised from x by the norm of its denominator, which keeps the
+    printed charts of dyadic parameters.
     """
-    (p, q), (r, s) = _to_chart(m)
-    # fixed points of x -> (p*x + q) / (r*x + s): (p - s +- sqrt(D)) / (2*r);
-    # r != 0: each chart letter maps infinity and [-1, 1] into [-1, 1], and
-    # the swap of a W + complement(W) period fixes infinity
+    C = (p, q), (r, s) = _to_chart(m)
     D = (s - p) ** 2 + 4 * r * q
     if D < 0:
         raise ValueError("projective map has no real fixed point")
+    if not preperiod:
+        return _fixed_point_in(C, D, _IDENTITY) + (D,)
+    P = (a, b), (c, d) = _to_chart(edge_word_matrix(preperiod).entries)
+    if not _is_square(D):
+        D *= (a * d - b * c) ** 2
+        return _fixed_point_in(_mul2(_mul2(P, C), ((d, -b), (-c, a))), D, P) + (D,)
+    u, w, R = _fixed_point_in(C, D, _IDENTITY)
+    n0, n1, d0, d1 = a * u + b * R, a * w, c * u + d * R, c * w
+    norm = d0 * d0 - d1 * d1 * D
+    if norm == 0:
+        raise ConeError("chart left the domain of the projective map")
+    # (n0 + n1*sqrt(D)) / (d0 + d1*sqrt(D)), rationalised by the conjugate
+    return n0 * d0 - n1 * d1 * D, n1 * d0 - n0 * d1, norm, D
+
+
+def _fixed_point_in(C: Mat2i, D: int, P: Mat2i) -> tuple[int, int, int]:
+    """(u, w, R) with w = +-1 and R > 0 for the fixed point (u + w*sqrt(D)) / R
+    of C's projective map, of discriminant D, between P(-1/3) and P(1/3)."""
+    (p, q), (r, s) = C
+    # fixed points of x -> (p*x + q) / (r*x + s): (p - s +- sqrt(D)) / (2*r);
+    # r != 0: each chart letter maps infinity and [-1, 1] into [-1, 1], and
+    # the swap of a W + complement(W) period fixes infinity; a conjugate by P
+    # is taken only when these fixed points are irrational, so their images
+    # under P, which it fixes, are finite too
     u, R = (p - s, 2 * r) if r > 0 else (s - p, -2 * r)
-    # with R > 0, -1/3 <= (u + w*sqrt(D)) / R <= 1/3 is a sign test on
-    # each of 3*u + R + 3*w*sqrt(D) and 3*u - R + 3*w*sqrt(D)
-    inside = [w for w in (1, -1)
-              if quad_sign(3 * u + R, 3 * w, D) >= 0 >= quad_sign(3 * u - R, 3 * w, D)]
+    # both chart letters map the cone of the (x, 1) with -1 <= x <= 1 into
+    # itself and have positive determinants, so P(k/3) = e/f with f > 0, and
+    # P(-1/3) < P(1/3); with R > 0, x - e/f has the sign of f*u - e*R + f*w*sqrt(D)
+    (a, b), (c, d) = P
+    (e0, f0), (e1, f1) = (3 * b - a, 3 * d - c), (3 * b + a, 3 * d + c)
+    inside = [w for w in (1, -1) if quad_sign(f0 * u - e0 * R, f0 * w, D) >= 0
+              >= quad_sign(f1 * u - e1 * R, f1 * w, D)]
     if len(inside) != 1:
         raise ValueError("expected exactly one fixed point in the chart interval")
-    w, = inside
-    if preperiod:
-        (a, b), (c, d) = _to_chart(edge_word_matrix(preperiod).entries)
-        n0, n1, d0, d1 = a * u + b * R, a * w, c * u + d * R, c * w
-        norm = d0 * d0 - d1 * d1 * D
-        if norm == 0:
-            raise ConeError("chart left the domain of the projective map")
-        # (n0 + n1*sqrt(D)) / (d0 + d1*sqrt(D)), rationalised by the conjugate
-        u, w, R = n0 * d0 - n1 * d1 * D, n1 * d0 - n0 * d1, norm
-    return u, w, R, D
+    return u, inside[0], R
+
+
+class _Reduced:
+    """A numerator and a positive denominator in lowest terms.  Fraction(x)
+    of a numbers.Rational x copies x.numerator and x.denominator as they
+    are, so Fraction(_Reduced(n, d)) takes no gcd."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+
+numbers.Rational.register(_Reduced)
+
+
+def _coprime_fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for coprime n and d > 0, without a gcd."""
+    return Fraction(_Reduced(n, d))
+
+
+def _smooth_part(n: int, m: int) -> int:
+    """The largest divisor of n > 0 made only of primes of m > 0.  Each round
+    divides out h and looks for h*h, so the rounds are few, and each gcd is
+    against a divisor of the answer."""
+    part, h = 1, math.gcd(n, m)
+    while h > 1:
+        n //= h
+        part *= h
+        h = math.gcd(n, h * h)
+    return part
+
+
+def _chart_value(u: int, w: int, R: int, D: int) -> QuadraticValue:
+    """QuadraticValue.from_pair(Fraction(u, R), Fraction(w, R), D) for R != 0
+    dividing u*u - w*w*D, with one gcd of integers of full size.
+
+    That is t = 2*u/R and d = 4*w*w*D/R**2 in lowest terms.  t comes from
+    g = gcd(u, R).  A prime of R that divides w*w*D divides u*u, because R
+    divides u*u - w*w*D, so it divides g.  Hence every prime of
+    gcd(4*w*w*D, R**2) divides 2*g, and that gcd is gcd(4*w*w*D, S**2) for
+    the part S of R made of primes of 2*g.
+    """
+    g = math.gcd(u, R)
+    u, r = u // g, R // g
+    if r < 0:
+        u, r = -u, -r
+    t = _coprime_fraction(u, r >> 1) if r & 1 == 0 else _coprime_fraction(2 * u, r)
+    if w == 0 or D == 0:
+        return QuadraticValue(t, Fraction(0))
+    num = 4 * w * w * D
+    G = math.gcd(num, _smooth_part(abs(R), 2 * g) ** 2)
+    d = _coprime_fraction(num // G, R * R // G)
+    return QuadraticValue(t, d, plus_root=(w > 0) == (R > 0))
 
 
 @lru_cache(maxsize=64)  # forms are immutable, and a few presets serve most calls

@@ -25,6 +25,7 @@ from .exact import (
     necklace_classes,
     transition_density,
     _auto_variant,
+    _coprime_fraction,
     _exponent_sign,
     _fold2,
     _fold_bits,
@@ -73,7 +74,8 @@ class HolderReport:
     def top_eigenvalue(self) -> QuadraticValue:
         """Dominant eigenvalue of the period's restriction, built when read."""
         t, n = self.scaled_trace, self.period_length
-        return QuadraticValue(Fraction(t, 5 ** n), Fraction(t * t - 4 * 3 ** n, 25 ** n))
+        (tn, tk), (dn, dk) = _over_power_of_5(t, n), _over_power_of_5(t * t - 4 * 3 ** n, 2 * n)
+        return QuadraticValue(_coprime_fraction(tn, 5 ** tk), _coprime_fraction(dn, 5 ** dk))
 
     @property
     def enclosure_width(self) -> float:

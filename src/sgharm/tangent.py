@@ -25,6 +25,7 @@ from .exact import (
     RationalLike,
     Vec3Q,
     _chart_fold,
+    _chart_value,
     _form_chart_coeffs,
     _in_kernel,
     _prefix_bits,
@@ -162,7 +163,10 @@ def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadD
 
     The chart is the fixed point of the period's projective map inside the
     chart interval, pushed through the preperiod's projective map.  Both
-    steps work on integers, with the chart held as (u + w*sqrt(D)) / R.
+    steps work on integers, with the chart held as (u + w*sqrt(D)) / R; with
+    a preperiod, the period's map is conjugated by the preperiod's, so R
+    keeps the period's size, and the closing to lowest terms takes one gcd
+    of that size.
     """
     frac = Fraction(s)
     if not 0 <= frac <= 1:
@@ -170,9 +174,8 @@ def direction_at_rational(s: RationalLike, side: Optional[Side] = None) -> QuadD
     if side is None:
         side = Side.RIGHT if frac < 1 else Side.LEFT
     rec = _rational_period(frac, _side_variant(frac, side))
-    u, w, R, D = rec.chart()
-    chart = QuadraticValue.from_pair(Fraction(u, R), Fraction(w, R), D)
-    return QuadDir(chart=chart, period=rec.e.period, preperiod=rec.e.preperiod, side=side)
+    return QuadDir(chart=_chart_value(*rec.chart()), period=rec.e.period,
+                   preperiod=rec.e.preperiod, side=side)
 
 
 MAX_REFINE_ERROR = Fraction(1, 2 ** 256)

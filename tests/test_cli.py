@@ -444,6 +444,26 @@ def test_golden_outputs_at_long_periods_unchanged(capsys):
     assert digest == LONG_GOLDEN_SHA256
 
 
+# dyadic rationals, whose periods "0" and "1" have rational fixed points, so
+# that the chart is rationalised through a preperiod of 200 letters
+DYADIC_GOLDEN_PARAMETERS = [f"1/{2 ** 200}", f"3/{2 ** 201}"]
+
+# sha256 of the JSON lines below, as written while every chart after a
+# preperiod was rationalised and closed by QuadraticValue.from_pair
+DYADIC_GOLDEN_SHA256 = "5bad1c1bc51b6e2f63093082ffbac6b880a1040158abba077286b18648bebba1"
+
+
+def test_golden_exact_directions_at_dyadics_unchanged(capsys):
+    lines = []
+    for s in DYADIC_GOLDEN_PARAMETERS:
+        for side in ("right", "left"):
+            code, out, _ = run(capsys, "direction", s, "--exact", "--side", side)
+            assert code == 0 and out.count("\n") == 1, (s, side)
+            lines.append(out)
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == DYADIC_GOLDEN_SHA256
+
+
 # ---------------------------------------------------------------------------
 # exact integers longer than the interpreter's 4300-digit str() limit
 
