@@ -481,12 +481,11 @@ def _chart_fixed_point(m: Mat2i, preperiod: str) -> tuple[int, int, int, int]:
     if D < 0:
         raise ValueError("projective map has no real fixed point")
     if not preperiod:
-        return _fixed_point_in(C, D, _IDENTITY) + (D,)
+        return _fixed_point_in(C, D, _IDENTITY)
     P = (a, b), (c, d) = _to_chart(edge_word_matrix(preperiod).entries)
     if not _is_square(D):
-        D *= (a * d - b * c) ** 2
-        return _fixed_point_in(_mul2(_mul2(P, C), ((d, -b), (-c, a))), D, P) + (D,)
-    u, w, R = _fixed_point_in(C, D, _IDENTITY)
+        return _fixed_point_in(_mul2(_mul2(P, C), ((d, -b), (-c, a))), (a * d - b * c) ** 2 * D, P)
+    u, w, R, D = _fixed_point_in(C, D, _IDENTITY)
     n0, n1, d0, d1 = a * u + b * R, a * w, c * u + d * R, c * w
     norm = d0 * d0 - d1 * d1 * D
     if norm == 0:
@@ -495,9 +494,10 @@ def _chart_fixed_point(m: Mat2i, preperiod: str) -> tuple[int, int, int, int]:
     return n0 * d0 - n1 * d1 * D, n1 * d0 - n0 * d1, norm, D
 
 
-def _fixed_point_in(C: Mat2i, D: int, P: Mat2i) -> tuple[int, int, int]:
-    """(u, w, R) with w = +-1 and R > 0 for the fixed point (u + w*sqrt(D)) / R
-    of C's projective map, of discriminant D, between P(-1/3) and P(1/3)."""
+def _fixed_point_in(C: Mat2i, D: int, P: Mat2i) -> tuple[int, int, int, int]:
+    """(u, w, R, D) with w = +-1 and R > 0 for the fixed point
+    (u + w*sqrt(D)) / R of C's projective map, of discriminant D, between
+    P(-1/3) and P(1/3)."""
     (p, q), (r, s) = C
     # fixed points of x -> (p*x + q) / (r*x + s): (p - s +- sqrt(D)) / (2*r);
     # r != 0: each chart letter maps infinity and [-1, 1] into [-1, 1], and
@@ -514,7 +514,7 @@ def _fixed_point_in(C: Mat2i, D: int, P: Mat2i) -> tuple[int, int, int]:
               >= quad_sign(f1 * u - e1 * R, f1 * w, D)]
     if len(inside) != 1:
         raise ValueError("expected exactly one fixed point in the chart interval")
-    return u, inside[0], R
+    return u, inside[0], R, D
 
 
 class _Reduced:

@@ -90,16 +90,18 @@ def seeded_rationals(seed, count, max_q):
 def test_directions_and_classes_match_the_rationalised_chart():
     rationals = seeded_rationals(2801, 2600, 2000)
     rationals += [Fraction(k, 2 ** 7) for k in range(0, 129, 3)]  # periods "0" and "1"
-    kinds = set()
+    kinds, lengths = set(), set()
     for s in rationals:
         for side in (Side.RIGHT, Side.LEFT):
             if (side is Side.RIGHT and s < 1) or (side is Side.LEFT and s > 0):
                 assert_matches_the_reference(s, side)
                 rec = _rational_period(s, _side_variant(s, side))
                 kinds.add((len(rec.e.preperiod), rec.h < len(rec.e.period)))
+                lengths.add(len(rec.e.period))
     # every preperiod of 0 to 6 letters, each with W + complement(W) periods
-    # and with periods folded whole
+    # and with periods folded whole, some of them of odd order
     assert kinds >= {(k, half) for k in range(7) for half in (False, True)}
+    assert any(n > 1 and n % 2 for n in lengths)
 
 
 def test_long_periods_match_the_rationalised_chart():
@@ -157,7 +159,6 @@ def test_smooth_part(n, m):
     part = _smooth_part(n, m)
     rest = n // part
     assert n % part == 0 and gcd(rest, m) == 1
-    assert gcd(part, m) > 1 or part == 1
     # every prime of part divides m: part divides a power of m
     assert pow(m, part.bit_length(), part) == 0
 
